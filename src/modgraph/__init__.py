@@ -35,9 +35,8 @@ from .lattice import (
     find_double_simple_image,
     is_simple_module,
     iso_count_simples,
-    join,
-    meet,
     prime_radical,
+    section_hom_count,
     simples_isomorphic,
 )
 from .modules import (

@@ -13,7 +13,6 @@ recorded as metadata, never asserted.
 from __future__ import annotations
 
 import json
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -33,13 +32,12 @@ from .lattice import (
     enumerate_submodules,
     find_double_simple_image,
     ideal_product,
-    is_simple_module,
     iso_count_simples,
     prime_radical,
+    section_hom_count,
     simples_isomorphic,
-    whole_submodule,
 )
-from .modules import Submodule, quotient, regular_module, submodule_as_module
+from .modules import Submodule, regular_module
 from .rings import quotient_ring, ring_from_field
 from .zoo import InstanceContext
 
@@ -57,7 +55,6 @@ class CheckReport:
     status: str
     witness: str | None = None
     details: dict = field(default_factory=dict)
-    seconds: float = 0.0
 
     def to_json(self) -> dict:
         return {
@@ -66,30 +63,16 @@ class CheckReport:
             "status": self.status,
             "witness": self.witness,
             "details": self.details,
-            "seconds": round(self.seconds, 4),
         }
 
 
 # -- shared structural helpers -------------------------------------------------
 
 
-def _direct_atom_pair_to(lat: Lattice, target: int) -> tuple[int, int] | None:
-    """First pair of atoms with zero meet joining exactly to the target."""
-    atoms = lat.atom_indices()
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            a, b = atoms[i], atoms[j]
-            if lat.subs[a].bits & lat.subs[b].bits != 1:
-                continue
-            if lat.join_index(a, b) == target:
-                return a, b
-    return None
-
-
 def _is_sum_of_two_simples(lat: Lattice) -> tuple[int, int] | None:
     if lat.composition_length() != 2:
         return None
-    return _direct_atom_pair_to(lat, lat.full_index)
+    return next(lat.direct_atom_pairs(lat.full_index), None)
 
 
 def _vertex_of(graph: IntersectionGraph, lat_index: int) -> int | None:
@@ -97,23 +80,6 @@ def _vertex_of(graph: IntersectionGraph, lat_index: int) -> int | None:
         return graph.lattice_pos.index(lat_index)
     except ValueError:
         return None
-
-
-def _quotient_lattice(ctx: InstanceContext, module) -> Lattice:
-    return enumerate_submodules(module, ctx.caps)
-
-
-def _nontrivial_count(lat: Lattice) -> int:
-    return len(lat) - 2 if lat.zero_index != lat.full_index else 0
-
-
-def _quotient_of_sub(ctx: InstanceContext, outer: Submodule, inner: Submodule):
-    """The module outer/inner for nested submodules of the ambient module."""
-    outer_mod = submodule_as_module(outer, ctx.caps)
-    pos = {x: i for i, x in enumerate(outer.members)}
-    kernel = [pos[x] for x in inner.members]
-    q, _ = quotient(outer_mod, kernel, ctx.caps)
-    return q
 
 
 # -- C1: order of the graph of a direct pair of simples -------------------------
@@ -154,7 +120,7 @@ def _star_structure(lat: Lattice) -> tuple[bool, int | None]:
         if lat.leq(a, b) or lat.leq(b, a):
             return True, 2
     soc = lat.socle_index()
-    pair = _direct_atom_pair_to(lat, soc)
+    pair = next(lat.direct_atom_pairs(soc), None)
     if (
         pair is not None
         and lat.length_of(soc) == 2
@@ -176,13 +142,7 @@ def check_low_degree(ctx: InstanceContext) -> CheckReport:
     def deg0_structure(v: int) -> bool:
         if g.n == 1:
             return True
-        if not g.vertex_is_simple(v):
-            return False
-        li = g.lattice_pos[v]
-        return any(
-            lat.subs[li].bits & lat.subs[a].bits == 1 and lat.join_index(li, a) == lat.full_index
-            for a in lat.atom_indices()
-        )
+        return g.vertex_is_simple(v) and lat.simple_complement(g.lattice_pos[v]) is not None
 
     deg0 = {v for v in range(g.n) if g.degree(v) == 0}
     pred0 = {v for v in range(g.n) if deg0_structure(v)}
@@ -245,14 +205,14 @@ def check_length_additivity(ctx: InstanceContext) -> CheckReport:
         return CheckReport(cid, ctx.instance_id, VACUOUS)
     total = lat.composition_length()
     for i in lat.nontrivial_indices():
-        sub = lat.subs[i]
-        q, _ = quotient(ctx.module, sub, ctx.caps)
-        l_q = _quotient_lattice(ctx, q).composition_length()
+        # l(M/N) is the longest chain in [N, M], never height(M) - height(N):
+        # the latter presumes the additivity checked here
+        l_q = lat.interval_length(i, lat.full_index)
         l_n = lat.length_of(i)
         if total != l_n + l_q:
             return CheckReport(
                 cid, ctx.instance_id, FAIL,
-                f"l(M)={total} != {l_n}+{l_q} at N={sub.describe()}",
+                f"l(M)={total} != {l_n}+{l_q} at N={lat.subs[i].describe()}",
             )
     return CheckReport(cid, ctx.instance_id, PASS, None, {"length": total})
 
@@ -294,11 +254,7 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
             return CheckReport(cid, ctx.instance_id, FAIL, f"T={t_sub.describe()}: {msg}", details)
 
         # (1)(i) a simple complement S
-        s_lat = next(
-            (a for a in lat.atom_indices()
-             if lat.subs[a].bits & t_sub.bits == 1 and lat.join_index(a, t_lat) == lat.full_index),
-            None,
-        )
+        s_lat = lat.simple_complement(t_lat)
         if s_lat is None:
             return fail("no simple complement")
         s_sub = lat.subs[s_lat]
@@ -308,23 +264,23 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
         if dtc != ends:
             return fail(f"deg_c={dtc} != |End(S)|={ends}")
         # (1)(iii) unique simple inside T, isomorphic to S (hence essential in T)
-        inner_atoms = [a for a in lat.atom_indices() if lat.subs[a].bits & t_sub.bits == lat.subs[a].bits]
+        inner_atoms = lat.covers_in(lat.zero_index, t_lat)
         if len(inner_atoms) != 1:
             return fail(f"{len(inner_atoms)} simple submodules inside T")
         sp_lat = inner_atoms[0]
         sp_sub = lat.subs[sp_lat]
         if not simples_isomorphic(sp_sub, s_sub):
             return fail("inner simple not isomorphic to the complement")
-        # (1)(iv) no quotient of T by a nontrivial submodule contains a copy of S
-        inner = [i for i in range(len(lat.subs))
-                 if lat.subs[i].bits & t_sub.bits == lat.subs[i].bits
-                 and lat.subs[i].size not in (1, t_sub.size)]
-        for n_idx in inner:
-            q = _quotient_of_sub(ctx, t_sub, lat.subs[n_idx])
-            lat_q = _quotient_lattice(ctx, q)
-            for a in lat_q.atom_indices():
-                if simples_isomorphic(lat_q.subs[a], s_sub):
-                    return fail(f"T/{lat.subs[n_idx].describe()} contains a copy of S")
+        # (1)(iv) no quotient of T by a nontrivial submodule contains a copy of
+        # S: the simples of T/N are A/N for the covers A of N inside [N, T]
+        zero = lat.subs[lat.zero_index]
+        for n_idx in lat.nontrivial_indices():
+            if n_idx == t_lat or not lat.leq(n_idx, t_lat):
+                continue
+            n_sub = lat.subs[n_idx]
+            if any(section_hom_count(lat.subs[a], n_sub, s_sub, zero) > 1
+                   for a in lat.covers_in(n_idx, t_lat)):
+                return fail(f"T/{n_sub.describe()} contains a copy of S")
         # (2)(i) socle is the direct pair, essential
         soc = lat.socle_index()
         if lat.join_index(sp_lat, s_lat) != soc or not lat.is_essential(soc):
@@ -337,9 +293,9 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
             mt = lat.meet_index(i, g.lattice_pos[v])
             if lat.join_index(mt, s_lat) != i:
                 return fail(f"N={lat.subs[i].describe()} neither inside T nor (N&T)+S")
-        # (2)(iii) recorded under both counting conventions
-        q_sp, _ = quotient(ctx.module, sp_sub, ctx.caps)
-        g_mod_sp = _nontrivial_count(_quotient_lattice(ctx, q_sp))
+        # (2)(iii) recorded under both counting conventions; |G(X/Y)| is
+        # |[Y, X]| - 2 (here and below Y < X, so the interval has two ends)
+        g_mod_sp = lat.interval_size(sp_lat, lat.full_index) - 2
         item["g_mod_inner_simple"] = g_mod_sp
         item["deg_formula_stated"] = dt == g_mod_sp + 1
         item["deg_formula_adjusted"] = dt == g_mod_sp
@@ -347,16 +303,14 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
             return fail(f"deg(T)={dt} matches neither |G(M/S')|+1 nor |G(M/S')|  (|G|={g_mod_sp})")
         # (2)(iv) deg(T) = 2|G(T)| = 2|G(T/S')| + 2; the second form counts S'
         # as a nontrivial submodule of T, so it presumes T is not simple
-        t_mod = submodule_as_module(t_sub, ctx.caps)
-        g_t = _nontrivial_count(_quotient_lattice(ctx, t_mod))
+        g_t = lat.interval_size(lat.zero_index, t_lat) - 2
         item["g_T"] = g_t
         if sp_lat == t_lat:
             item["t_simple"] = True
             if not (dt == 2 * g_t == 0):
                 return fail(f"simple T should have deg 0, got deg={dt}, |G(T)|={g_t}")
         else:
-            q_t = _quotient_of_sub(ctx, t_sub, sp_sub)
-            g_t_over = _nontrivial_count(_quotient_lattice(ctx, q_t))
+            g_t_over = lat.interval_size(sp_lat, t_lat) - 2
             item["g_T_over_inner"] = g_t_over
             if not (dt == 2 * g_t == 2 * g_t_over + 2):
                 return fail(f"deg(T)={dt} but |G(T)|={g_t}, |G(T/S')|={g_t_over}")
@@ -531,7 +485,7 @@ def _module_trichotomy(ctx: InstanceContext) -> tuple[str | None, dict]:
         return "chain", details
     soc = lat.socle_index()
     if lat.length_of(soc) == 2:
-        pair = _direct_atom_pair_to(lat, soc)
+        pair = next(lat.direct_atom_pairs(soc), None)
         if pair is not None:
             details["pair_iso"] = iso_count_simples(lat.subs[pair[0]], lat.subs[pair[1]])
             if soc == lat.full_index:
@@ -582,10 +536,9 @@ def _ring_trichotomy(ctx: InstanceContext) -> tuple[str | None, dict]:
         details["residue_size"] = quot.size
         if not quot.is_division_ring():
             return None, details
-        residue_module, _ = quotient(ctx.module, rad, ctx.caps)
-        res_whole = whole_submodule(residue_module)
-        atoms = lat.atom_indices()
-        if not all(simples_isomorphic(lat.subs[a], res_whole) for a in atoms):
+        # rad is the unique maximal left ideal, so the section M/rad is simple
+        full, zero = lat.subs[lat.full_index], lat.subs[lat.zero_index]
+        if not all(section_hom_count(lat.subs[a], zero, full, rad) > 1 for a in lat.atom_indices()):
             return None, details
         if ctx.graph.n != quot.size + 2:
             return None, details
@@ -666,12 +619,8 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
         if v is None or g.degree(v) >= g.complement_degree(v):
             continue
         t_sub = lat.subs[li]
-        s_lat = next(
-            (a for a in lat.atom_indices()
-             if lat.subs[a].bits & t_sub.bits == 1 and lat.join_index(a, li) == lat.full_index),
-            None,
-        )
-        inner = [a for a in lat.atom_indices() if lat.subs[a].bits & t_sub.bits == lat.subs[a].bits]
+        s_lat = lat.simple_complement(li)
+        inner = lat.covers_in(lat.zero_index, li)
         entry = {
             "T": t_sub.describe(),
             "splits_off_simple": s_lat is not None,
@@ -697,35 +646,29 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
     )
     per_vertex = []
     for v in range(g.n):
-        n_sub = lat.subs[g.lattice_pos[v]]
-        inner = [a for a in lat.atom_indices() if lat.subs[a].bits & n_sub.bits == lat.subs[a].bits]
-        entry = {"N": n_sub.describe(), "deg": g.degree(v), "unique_simple": len(inner) == 1}
+        n_idx = g.lattice_pos[v]
+        inner = lat.covers_in(lat.zero_index, n_idx)
+        entry = {"N": lat.subs[n_idx].describe(), "deg": g.degree(v), "unique_simple": len(inner) == 1}
         if len(inner) == 1:
-            s_sub = lat.subs[inner[0]]
-            entry["end_size"] = end_size(s_sub)
-            q_s, _ = quotient(ctx.module, s_sub, ctx.caps)
-            entry["g_mod_simple"] = _nontrivial_count(_quotient_lattice(ctx, q_s))
-            entry["detached_section"] = _has_detached_section(ctx, n_sub, s_sub)
+            entry["end_size"] = end_size(lat.subs[inner[0]])
+            # S <= N < M, so [S, M] has two ends
+            entry["g_mod_simple"] = lat.interval_size(inner[0], lat.full_index) - 2
+            entry["detached_section"] = _has_detached_section(lat, n_idx, inner[0])
         per_vertex.append(entry)
     details["vertices"] = per_vertex
     return CheckReport(cid, ctx.instance_id, PASS, None, details)
 
 
-def _has_detached_section(ctx: InstanceContext, n_sub: Submodule, s_sub: Submodule) -> bool:
-    """Is there a pair B <= A with A meeting N trivially and A/B a copy of S?"""
-    lat = ctx.lattice
-    for a_sub in lat.subs:
-        if a_sub.size == 1 or a_sub.bits & n_sub.bits != 1:
-            continue
-        for b_sub in lat.subs:
-            if b_sub.bits & a_sub.bits != b_sub.bits:
+def _has_detached_section(lat: Lattice, n_idx: int, s_idx: int) -> bool:
+    """Is there a pair B < A with A meeting N trivially and A/B a copy of S?
+    A/B is simple exactly when A covers B."""
+    n_bits, s_sub, zero = lat.subs[n_idx].bits, lat.subs[s_idx], lat.subs[lat.zero_index]
+    for b_idx, b_sub in enumerate(lat.subs):
+        for a_idx in lat.covers_in(b_idx, lat.full_index):
+            a_sub = lat.subs[a_idx]
+            if a_sub.bits & n_bits != 1 or a_sub.size // b_sub.size != s_sub.size:
                 continue
-            if a_sub.size // b_sub.size != s_sub.size:
-                continue
-            section = _quotient_of_sub(ctx, a_sub, b_sub)
-            if not is_simple_module(section):
-                continue
-            if simples_isomorphic(whole_submodule(section), s_sub):
+            if section_hom_count(a_sub, b_sub, s_sub, zero) > 1:
                 return True
     return False
 
@@ -772,12 +715,10 @@ def run_suite(contexts, check_ids=None, caps: Caps | None = None):
     reports: list[CheckReport] = []
     for ctx in contexts:
         for cid in ids:
-            start = time.perf_counter()
             try:
                 rep = ALL_CHECKS[cid](ctx)
             except CapExceeded as exc:
                 rep = CheckReport(cid, ctx.instance_id, SKIPPED, str(exc))
-            rep.seconds = time.perf_counter() - start
             reports.append(rep)
     reports.sort(key=lambda r: (r.instance_id, r.check_id))
     counts: dict[str, Counter] = {cid: Counter() for cid in ids}

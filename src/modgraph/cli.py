@@ -72,6 +72,7 @@ def cmd_invariants(args) -> int:
     chi_c, _ = g.complement_chromatic(caps)
     soc = lat.subs[lat.socle_index()]
     goldie, _ = lat.goldie_dimension()
+    girth, diameter = g.girth(), g.diameter()
     payload = {
         "instance": ctx.instance_id,
         "order": g.n,
@@ -80,8 +81,8 @@ def cmd_invariants(args) -> int:
         "chi": chi,
         "omega_c": omega_c,
         "chi_c": chi_c,
-        "girth": "inf" if g.girth() == INF else int(g.girth()),
-        "diameter": "inf" if g.diameter() == INF else int(g.diameter()),
+        "girth": "inf" if girth == INF else int(girth),
+        "diameter": "inf" if diameter == INF else int(diameter),
         "connected": g.is_connected(),
         "shape": g.classify_shape().tag,
         "socle": {"size": soc.size, "generators": [lat.module.label(x) for x in soc.gens]},

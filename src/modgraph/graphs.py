@@ -279,16 +279,9 @@ def homogeneous_socle_pair(lattice: Lattice) -> dict | None:
     soc = lattice.socle_index()
     if lattice.length_of(soc) != 2 or not lattice.is_essential(soc):
         return None
-    atoms = lattice.atom_indices()
-    for ai in range(len(atoms)):
-        for bi in range(ai + 1, len(atoms)):
-            a, b = atoms[ai], atoms[bi]
-            if lattice.subs[a].bits & lattice.subs[b].bits != 1:
-                continue
-            if lattice.join_index(a, b) != soc:
-                continue
-            if simples_isomorphic(lattice.subs[a], lattice.subs[b]):
-                return {"socle": soc, "pair": (a, b)}
+    for a, b in lattice.direct_atom_pairs(soc):
+        if simples_isomorphic(lattice.subs[a], lattice.subs[b]):
+            return {"socle": soc, "pair": (a, b)}
     return None
 
 

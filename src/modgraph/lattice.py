@@ -5,13 +5,22 @@ pairwise joins; every submodule is a finite sum of cyclic ones, so the
 result is complete.  The canonical order is (size, member tuple), and all
 vertex numbering downstream derives from it.
 
-Also here: socle, Goldie dimension, composition length, isomorphism counting
-for simple modules via annihilator hom-counts, the double-simple-image
-search, and the prime radical of a finite ring (= Jacobson radical,
-computed as the intersection of the maximal left ideals).
+Each lattice computes its order kernel (containment and cover bitsets over
+lattice indices, heights) once, on first use.  Quotient and section facts are
+read off it as intervals: by the correspondence theorem Lat(B/A) is the
+interval [A, B], so no quotient module is built and no lattice is enumerated
+again to answer them.
+
+Also here: socle, Goldie dimension, composition length, hom counts between
+simple sections via annihilators of coset representatives, the
+double-simple-image search, and the prime radical of a finite ring
+(= Jacobson radical, computed as the intersection of the maximal left ideals).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,22 +34,28 @@ from .modules import (
     cyclic_members,
     quotient,
     regular_module,
-    submodule_generated,
 )
 from .rings import FiniteRing
 
 
-def meet(a: Submodule, b: Submodule) -> Submodule:
-    if a.module is not b.module:
-        raise ConstructionError("meet of submodules of different modules")
-    common = a.bits & b.bits
-    return Submodule(a.module, [i for i in a.members if (common >> i) & 1])
+def _indices(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def join(a: Submodule, b: Submodule) -> Submodule:
-    if a.module is not b.module:
-        raise ConstructionError("join of submodules of different modules")
-    return submodule_generated(a.module, set(a.members) | set(b.members))
+class _Order(NamedTuple):
+    """Order kernel over lattice indices: down[i]/up[i] are bitsets of the
+    indices below/above i (inclusive), lower[i]/upper[i] those of its
+    lower/upper covers, heights[i] the longest chain from 0 to i."""
+
+    down: list[int]
+    up: list[int]
+    lower: list[int]
+    upper: list[int]
+    heights: list[int]
 
 
 class Lattice:
@@ -52,7 +67,6 @@ class Lattice:
         self._pos = {s.bits: i for i, s in enumerate(self.subs)}
         self.zero_index = self._pos[1]
         self.full_index = self._pos[bits_of(range(module.size))]
-        self._lengths: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.subs)
@@ -76,59 +90,97 @@ class Lattice:
         mem = np.unique(self.module.add[np.ix_(a.members, b.members)])
         return self._pos[bits_of(mem)]
 
+    @cached_property
+    def _order(self) -> _Order:
+        # canonical order is size-ascending, so everything below i comes first
+        bits = [s.bits for s in self.subs]
+        n = len(bits)
+        down, up, lower, upper, heights = ([0] * n for _ in range(5))
+        for i, b in enumerate(bits):
+            below = 0
+            for j in range(i + 1):
+                if bits[j] & b == bits[j]:
+                    below |= 1 << j
+                    up[j] |= 1 << i
+            down[i] = below
+            strict = below & ~(1 << i)
+            shadow = 0
+            for j in _indices(strict):
+                shadow |= down[j] & ~(1 << j)
+            lower[i] = strict & ~shadow
+            for j in _indices(lower[i]):
+                upper[j] |= 1 << i
+            heights[i] = max((heights[j] + 1 for j in _indices(lower[i])), default=0)
+        return _Order(down, up, lower, upper, heights)
+
     # -- structural predicates ------------------------------------------
 
     def nontrivial_indices(self) -> list[int]:
         return [i for i in range(len(self.subs)) if i != self.zero_index and i != self.full_index]
 
     def atom_indices(self) -> list[int]:
-        out = []
-        for i, s in enumerate(self.subs):
-            if s.size == 1:
-                continue
-            if not any(
-                t.size > 1 and t.size < s.size and t.bits & s.bits == t.bits for t in self.subs
-            ):
-                out.append(i)
-        return out
+        return list(_indices(self._order.upper[self.zero_index]))
 
     def maximal_indices(self) -> list[int]:
-        full = self.subs[self.full_index].bits
-        out = []
-        for i, s in enumerate(self.subs):
-            if s.bits == full:
-                continue
-            if not any(
-                t.bits != full and t.bits != s.bits and s.bits & t.bits == s.bits for t in self.subs
-            ):
-                out.append(i)
-        return out
+        return list(_indices(self._order.lower[self.full_index]))
 
     def is_simple(self, i: int) -> bool:
-        return i in set(self.atom_indices())
+        return bool((self._order.upper[self.zero_index] >> i) & 1)
 
     def is_maximal(self, i: int) -> bool:
-        return i in set(self.maximal_indices())
+        return bool((self._order.lower[self.full_index] >> i) & 1)
+
+    def simple_complement(self, i: int) -> int | None:
+        """First atom S with S meet N_i = 0 and S join N_i = M, if any."""
+        order = self._order
+        for a in _indices(order.upper[self.zero_index] & ~order.down[i]):
+            if self.join_index(a, i) == self.full_index:
+                return a
+        return None
+
+    def direct_atom_pairs(self, target: int):
+        """Pairs of atoms joining to target, in canonical order; distinct
+        atoms meet in 0, so each pair is direct."""
+        atoms = self.covers_in(self.zero_index, target)
+        for k, a in enumerate(atoms):
+            for b in atoms[k + 1:]:
+                if self.join_index(a, b) == target:
+                    yield a, b
+
+    # every nonzero submodule contains an atom, so essential means "contains
+    # every atom" and uniform means "exactly one atom below"
 
     def is_essential(self, i: int) -> bool:
-        s = self.subs[i]
-        if s.size == 1:
-            return len(self.subs) == 1
-        return all(t.size == 1 or (t.bits & s.bits) != 1 for t in self.subs)
+        return self._order.upper[self.zero_index] & ~self._order.down[i] == 0
 
     def is_uniform(self, i: int) -> bool:
-        s = self.subs[i]
-        if s.size == 1:
-            return False
-        inside = [t for t in self.subs if t.size > 1 and t.bits & s.bits == t.bits]
-        return all(a.bits & b.bits != 1 for a in inside for b in inside)
+        return len(self.covers_in(self.zero_index, i)) == 1
 
     def is_chain(self) -> bool:
-        return all(
-            self.leq(i, j) or self.leq(j, i)
-            for i in range(len(self.subs))
-            for j in range(i + 1, len(self.subs))
-        )
+        everything = (1 << len(self.subs)) - 1
+        return all(d | u == everything for d, u in zip(self._order.down, self._order.up))
+
+    # -- intervals: Lat(hi/lo) is [lo, hi] ---------------------------------
+
+    def interval_size(self, lo: int, hi: int) -> int:
+        """|[lo, hi]|, the number of submodules of hi/lo."""
+        return (self._order.up[lo] & self._order.down[hi]).bit_count()
+
+    def interval_length(self, lo: int, hi: int) -> int:
+        """Longest chain inside [lo, hi], the composition length of hi/lo."""
+        order = self._order
+        inside = order.up[lo] & order.down[hi]
+        if not (inside >> hi) & 1:
+            raise StructureError("interval bounds are not nested")
+        best = {lo: 0}
+        for k in _indices(inside & ~(1 << lo)):
+            best[k] = 1 + max(best[c] for c in _indices(order.lower[k] & inside))
+        return best[hi]
+
+    def covers_in(self, lo: int, hi: int) -> list[int]:
+        """Covers of lo inside [lo, hi]; A/lo for these A are the simple
+        submodules of hi/lo."""
+        return list(_indices(self._order.upper[lo] & self._order.down[hi]))
 
     # -- socle, length, Goldie dimension ---------------------------------
 
@@ -143,17 +195,7 @@ class Lattice:
 
     def chain_lengths(self) -> list[int]:
         """Longest-chain length from 0 up to each submodule."""
-        if self._lengths is None:
-            order = range(len(self.subs))  # canonical order is size-ascending
-            lengths = [0] * len(self.subs)
-            for i in order:
-                best = 0
-                for j in order:
-                    if j != i and self.leq(j, i) and self.subs[j].size < self.subs[i].size:
-                        best = max(best, lengths[j] + 1)
-                lengths[i] = best
-            self._lengths = lengths
-        return self._lengths
+        return self._order.heights
 
     def composition_length(self) -> int:
         return self.chain_lengths()[self.full_index]
@@ -225,21 +267,35 @@ def _check_simple_sub(s: Submodule) -> None:
             raise StructureError("submodule is not simple")
 
 
-def hom_count_simples(s: Submodule, t: Submodule) -> int:
-    """#Hom(S, T) for simple S, T over a common ring.
+def section_hom_count(a: Submodule, b: Submodule, c: Submodule, d: Submodule) -> int:
+    """#Hom(A/B, C/D) for a simple section A/B and a section C/D over a
+    common ring, with B < A and D <= C submodules of their ambient modules.
 
-    A hom is determined by the image of one fixed nonzero generator s, and
-    the valid images are exactly {t : ann(s) t = 0}.
+    A/B is generated by any x in A outside B, so a hom is fixed by the image
+    t + D of x + B, and the valid images are exactly the cosets of the
+    t in C with ann(x + B) t in D, where ann(x + B) = {r : r x in B}.
     """
-    if s.module.ring is not t.module.ring:
+    src, tgt = a.module, c.module
+    if src.ring is not tgt.ring:
         raise ConstructionError("hom count needs modules over the same ring")
+    if a.bits == b.bits or b.bits & a.bits != b.bits or d.bits & c.bits != d.bits:
+        raise StructureError("hom count needs sections B < A and D <= C")
+    gen = next(x for x in a.members if not (b.bits >> x) & 1)
+    in_b = np.zeros(src.size, dtype=bool)
+    in_b[list(b.members)] = True
+    ann = np.flatnonzero(in_b[src.act[:, gen]])  # nonempty: 0 annihilates
+    in_d = np.zeros(tgt.size, dtype=bool)
+    in_d[list(d.members)] = True
+    valid = in_d[tgt.act[np.ix_(ann, c.members)]].all(axis=0)
+    return int(np.count_nonzero(valid)) // d.size
+
+
+def hom_count_simples(s: Submodule, t: Submodule) -> int:
+    """#Hom(S, T) for simple S, T over a common ring: the section hom count
+    with both sections taken over the zero submodule."""
     _check_simple_sub(s)
     _check_simple_sub(t)
-    gen = next(x for x in s.members if x)
-    ann = np.flatnonzero(s.module.act[:, gen] == 0)  # nonempty: 0 annihilates
-    tmem = np.array(t.members)
-    killed = (t.module.act[np.ix_(ann, tmem)] == 0).all(axis=0)
-    return int(np.count_nonzero(killed))
+    return section_hom_count(s, Submodule(s.module, [0]), t, Submodule(t.module, [0]))
 
 
 def iso_count_simples(s: Submodule, t: Submodule) -> int:
@@ -270,23 +326,22 @@ def find_double_simple_image(
     module: FiniteModule, lattice: Lattice | None = None, caps: Caps | None = None
 ) -> dict | None:
     """First kernel K (canonical order) such that M/K contains a direct pair
-    of isomorphic simple submodules; None when no quotient does."""
+    of isomorphic simple submodules; None when no quotient does.
+
+    The simple submodules of M/K are A/K for the covers A of K, so the
+    returned pair is the first pair (A, B) of covers of K, in canonical
+    order, with A/K isomorphic to B/K; A and B are submodules of M.  Only
+    the witness's quotient module is built.
+    """
     caps = caps or Caps()
     lattice = lattice or enumerate_submodules(module, caps)
     for k_idx, kernel in enumerate(lattice.subs):
-        if k_idx == lattice.full_index:
-            continue
-        quot, _ = quotient(module, kernel, caps=caps)
-        lat_q = enumerate_submodules(quot, caps)
-        atoms = [lat_q.subs[i] for i in lat_q.atom_indices()]
-        for ai in range(len(atoms)):
-            for bi in range(ai + 1, len(atoms)):
-                if simples_isomorphic(atoms[ai], atoms[bi]):
-                    return {
-                        "kernel": kernel,
-                        "quotient": quot,
-                        "pair": (atoms[ai], atoms[bi]),
-                    }
+        covers = [lattice.subs[i] for i in lattice.covers_in(k_idx, lattice.full_index)]
+        for ai, a in enumerate(covers):
+            for b in covers[ai + 1:]:
+                if section_hom_count(a, kernel, b, kernel) > 1:
+                    quot, _ = quotient(module, kernel, caps=caps)
+                    return {"kernel": kernel, "quotient": quot, "pair": (a, b)}
     return None
 
 

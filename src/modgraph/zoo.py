@@ -122,7 +122,7 @@ def family_specs(max_ring_size: int) -> list[dict]:
 
 
 class InstanceContext:
-    """Per-instance cache of lattice, graph and derived modules."""
+    """Per-instance cache of the submodule lattice and the intersection graph."""
 
     def __init__(self, instance: Instance, caps: Caps | None = None):
         self.instance = instance

@@ -198,3 +198,29 @@ def brute_girth(n, adj):
     for s in range(n):
         dfs(s, s, {s}, 0)
     return best[0]
+
+
+def brute_covers(subsets):
+    """Cover pairs (i, j) of a family of member tuples: subsets[i] is a proper
+    subset of subsets[j] and no member of the family lies strictly between."""
+    sets = [frozenset(s) for s in subsets]
+    return sorted(
+        (i, j)
+        for i, a in enumerate(sets)
+        for j, b in enumerate(sets)
+        if a < b and not any(a < c < b for c in sets)
+    )
+
+
+def brute_longest_chain(subsets, lo, hi):
+    """Longest strictly increasing chain from subsets[lo] to subsets[hi], by
+    trying every member of the family as the next step."""
+    sets = [frozenset(s) for s in subsets]
+
+    def longest(i):
+        if sets[i] == sets[hi]:
+            return 0
+        steps = [longest(j) for j in range(len(sets)) if sets[i] < sets[j] <= sets[hi]]
+        return 1 + max(steps)
+
+    return longest(lo)

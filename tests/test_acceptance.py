@@ -199,18 +199,22 @@ def test_criterion_12_byte_determinism(tmp_path):
     spec = {"version": 1, "ring": {"kind": "zmod", "n": 12}, "module": {"kind": "regular"}}
     path = tmp_path / "z12.json"
     path.write_text(json.dumps(spec))
+    jsonl = tmp_path / "reports.jsonl"
+
+    def run(cmd):
+        jsonl.unlink(missing_ok=True)
+        out = subprocess.run(
+            [sys.executable, "-m", "modgraph.cli", *cmd], capture_output=True, check=True,
+        ).stdout
+        return out, jsonl.read_bytes() if jsonl.exists() else None
+
     outputs = {}
     for label, cmd in (
         ("graph-json", ["graph", str(path), "--format", "json"]),
         ("graph-dot", ["graph", str(path), "--format", "dot"]),
         ("invariants", ["invariants", str(path)]),
+        ("verify-jsonl", ["verify", str(path), "--jsonl", str(jsonl)]),
     ):
-        runs = [
-            subprocess.run(
-                [sys.executable, "-m", "modgraph.cli", *cmd],
-                capture_output=True, check=True,
-            ).stdout
-            for _ in range(2)
-        ]
+        runs = [run(cmd) for _ in range(2)]
         outputs[label] = runs[0] == runs[1]
     _verdict("12 determinism", all(outputs.values()), f"byte-identical reruns: {outputs}")

@@ -1,0 +1,128 @@
+"""Interval reads of the ambient lattice against re-enumeration and brute force.
+
+The package reads Lat(M/N) as [N, M], Lat(T) as [0, T] and simple sections
+A/B as covers B < A, without building the modules.  Here the modules are
+built and their lattices enumerated again, as the reference.
+"""
+
+import numpy as np
+import pytest
+
+from modgraph.fields import gf_build
+from modgraph.lattice import (
+    enumerate_submodules,
+    hom_count_simples,
+    is_simple_module,
+    section_hom_count,
+    whole_submodule,
+)
+from modgraph.modules import (
+    Submodule,
+    direct_sum,
+    quotient,
+    regular_module,
+    submodule_as_module,
+)
+from modgraph.rings import ring_from_field, ring_zmod
+
+from .oracles import brute_covers, brute_longest_chain, brute_submodules_grow, naive_closure
+
+
+def _contexts(named_contexts, family16_contexts):
+    return [*named_contexts, *family16_contexts]
+
+
+def test_quotient_and_sub_lattices_are_intervals(named_contexts, family16_contexts):
+    checked = 0
+    for ctx in _contexts(named_contexts, family16_contexts):
+        lat = ctx.lattice
+        full = lat.full_index
+        for n, sub in enumerate(lat.subs):
+            lat_q = enumerate_submodules(quotient(ctx.module, sub)[0])
+            assert len(lat_q) == lat.interval_size(n, full), (ctx.instance_id, n)
+            assert lat_q.composition_length() == lat.interval_length(n, full), (ctx.instance_id, n)
+            lat_n = enumerate_submodules(submodule_as_module(sub))
+            assert len(lat_n) == lat.interval_size(lat.zero_index, n), (ctx.instance_id, n)
+            assert lat_n.composition_length() == lat.interval_length(lat.zero_index, n)
+            checked += 1
+    assert checked > 400
+
+
+def _built_sections(ctx):
+    """Every simple section A/B (A covers B) with A/B built as a module: the
+    image of A in the quotient M/B, re-indexed standalone."""
+    lat = ctx.lattice
+    out = []
+    for b, sub_b in enumerate(lat.subs):
+        covers = lat.covers_in(b, lat.full_index)
+        if not covers:
+            continue
+        q, proj = quotient(ctx.module, sub_b)
+        for a in covers:
+            image = Submodule(q, np.unique(proj[list(lat.subs[a].members)]))
+            out.append(((b, a), submodule_as_module(image)))
+    return out
+
+
+def test_section_hom_count_matches_built_sections(named_contexts, family16_contexts):
+    pairs = 0
+    for ctx in _contexts(named_contexts, family16_contexts):
+        subs = ctx.lattice.subs
+        built = _built_sections(ctx)
+        assert all(is_simple_module(x) for _, x in built), ctx.instance_id
+        for (b, a), x in built:
+            for (d, c), y in built:
+                if x.size != y.size:  # only the zero hom; no isomorphism to count
+                    continue
+                got = section_hom_count(subs[a], subs[b], subs[c], subs[d])
+                assert got == hom_count_simples(whole_submodule(x), whole_submodule(y)), (
+                    ctx.instance_id, (b, a), (d, c),
+                )
+                pairs += 1
+    assert pairs > 2000
+
+
+def _f2_4():
+    reg = regular_module(ring_from_field(gf_build(2, 1)))
+    return direct_sum(direct_sum(reg, reg), direct_sum(reg, reg))
+
+
+def _z4_squared():
+    reg = regular_module(ring_zmod(4))
+    return direct_sum(reg, reg)
+
+
+@pytest.mark.parametrize("build", [_f2_4, _z4_squared], ids=["F2^4", "Z4^2"])
+def test_order_kernel_matches_brute_force(build):
+    module = build()
+    lat = enumerate_submodules(module)
+    subsets = brute_submodules_grow(module)
+    assert [s.members for s in lat.subs] == subsets  # one canonical order
+    n, zero, full = len(subsets), 0, len(subsets) - 1
+    covers = brute_covers(subsets)
+    assert sorted((i, j) for i in range(n) for j in lat.covers_in(i, full)) == covers
+    assert lat.atom_indices() == [j for i, j in covers if i == zero]
+    assert lat.maximal_indices() == [i for i, j in covers if j == full]
+    assert [i for i in range(n) if lat.is_simple(i)] == lat.atom_indices()
+    assert [i for i in range(n) if lat.is_maximal(i)] == lat.maximal_indices()
+    assert lat.chain_lengths() == [brute_longest_chain(subsets, zero, i) for i in range(n)]
+    sets = [frozenset(s) for s in subsets]
+    nonzero = [c for c in sets if len(c) > 1]
+    for i, s in enumerate(sets):
+        inside = [c for c in nonzero if c <= s]
+        assert lat.is_essential(i) == all(len(c & s) > 1 for c in nonzero)
+        assert lat.is_uniform(i) == (bool(inside) and all(len(c & d) > 1 for c in inside for d in inside))
+    assert lat.is_chain() == all(c <= d or d <= c for c in sets for d in sets)
+    for lo in range(n):
+        for hi in range(n):
+            inside = [c for c in sets if sets[lo] <= c <= sets[hi]]
+            assert lat.interval_size(lo, hi) == len(inside)
+            if inside:
+                assert lat.covers_in(lo, hi) == [j for i, j in covers if i == lo and sets[j] <= sets[hi]]
+        assert lat.interval_length(lo, full) == brute_longest_chain(subsets, lo, full)
+        want = next(
+            (a for a in lat.atom_indices()
+             if sets[a] & sets[lo] == {0} and naive_closure(module, sets[a] | sets[lo]) == sets[full]),
+            None,
+        )
+        assert lat.simple_complement(lo) == want

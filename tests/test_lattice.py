@@ -10,8 +10,6 @@ from modgraph.lattice import (
     find_double_simple_image,
     is_simple_module,
     iso_count_simples,
-    join,
-    meet,
     prime_radical,
     simples_isomorphic,
     whole_submodule,
@@ -72,13 +70,11 @@ def test_z12_lattice_contents(z12_module):
 
 
 def test_meet_join_examples(z12_module):
-    reg = z12_module
-    s3 = submodule_generated(reg, [3])
-    s4 = submodule_generated(reg, [4])
-    s6 = submodule_generated(reg, [6])
-    assert meet(s3, s4).members == (0,)
-    assert join(s4, s6).members == (0, 2, 4, 6, 8, 10)
-    assert meet(s3, s3).members == s3.members
+    lat = enumerate_submodules(z12_module)
+    s3, s4, s6 = (lat.position(submodule_generated(z12_module, [g])) for g in (3, 4, 6))
+    assert lat.subs[lat.meet_index(s3, s4)].members == (0,)
+    assert lat.subs[lat.join_index(s4, s6)].members == (0, 2, 4, 6, 8, 10)
+    assert lat.meet_index(s3, s3) == s3
 
 
 def test_lattice_closed_under_meet_and_join(named_contexts):
@@ -228,6 +224,10 @@ def test_iso_count_requires_simple_input():
 def test_find_double_simple_image(f2_squared, z2_x_z4):
     witness = find_double_simple_image(f2_squared)
     assert witness is not None and witness["kernel"].size == 1
+    # the pair is two ambient submodules A != B, each with A/K simple
+    a, b = witness["pair"]
+    assert a.module is b.module is f2_squared and a != b
+    assert a.size == b.size == 2 and witness["quotient"].size == 4
     z8 = regular_module(ring_zmod(8))
     assert find_double_simple_image(z8) is None
     witness2 = find_double_simple_image(z2_x_z4)
