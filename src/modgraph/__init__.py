@@ -51,7 +51,6 @@ from .modules import (
 )
 from .rings import (
     FiniteRing,
-    RingElement,
     quotient_ring,
     ring_from_field,
     ring_from_tables,
@@ -61,7 +60,7 @@ from .rings import (
     ring_triangular,
     ring_zmod,
 )
-from .solvers import chromatic_number, clique_lower_bound, max_clique, max_cliques
+from .solvers import chromatic_number, max_clique, max_cliques
 from .specs import Instance, build_instance, load_spec_file, make_spec
 from .zoo import InstanceContext, family, named_instances
 

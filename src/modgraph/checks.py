@@ -641,7 +641,7 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
         else {
             "kernel": witness["kernel"].describe(),
             "kernel_size": witness["kernel"].size,
-            "quotient_size": witness["quotient"].size,
+            "quotient_size": ctx.module.size // witness["kernel"].size,
         }
     )
     per_vertex = []

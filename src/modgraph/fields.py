@@ -10,7 +10,6 @@ base-p digits), so a field is reproducible from (p, k) alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -120,6 +119,8 @@ class FiniteField:
         self._digits = self._digit_matrix()
         self._exp, self._log = self._build_exp_log()
         self._verify_inverses()
+        self._add_table: np.ndarray | None = None
+        self._mul_table: np.ndarray | None = None
 
     # -- element codecs ----------------------------------------------------
 
@@ -197,21 +198,23 @@ class FiniteField:
                 return np.array(exp, dtype=np.int16), log
         raise ConstructionError("no primitive element found")  # unreachable
 
-    @lru_cache(maxsize=None)
     def add_table(self) -> np.ndarray:
-        d = self._digits.astype(np.int32)
-        s = (d[:, None, :] + d[None, :, :]) % self.p
-        weights = self.p ** np.arange(self.k)
-        return (s @ weights).astype(np.int16)
+        if self._add_table is None:
+            d = self._digits.astype(np.int32)
+            s = (d[:, None, :] + d[None, :, :]) % self.p
+            weights = self.p ** np.arange(self.k)
+            self._add_table = (s @ weights).astype(np.int16)
+        return self._add_table
 
-    @lru_cache(maxsize=None)
     def mul_table(self) -> np.ndarray:
-        q = self.size
-        t = np.zeros((q, q), dtype=np.int16)
-        if q > 1:
-            lg = self._log[1:]
-            t[1:, 1:] = self._exp[(lg[:, None] + lg[None, :]) % (q - 1)]
-        return t
+        if self._mul_table is None:
+            q = self.size
+            t = np.zeros((q, q), dtype=np.int16)
+            if q > 1:
+                lg = self._log[1:]
+                t[1:, 1:] = self._exp[(lg[:, None] + lg[None, :]) % (q - 1)]
+            self._mul_table = t
+        return self._mul_table
 
     def _verify_inverses(self) -> None:
         for a in range(1, self.size):

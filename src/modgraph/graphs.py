@@ -87,9 +87,6 @@ class IntersectionGraph:
 
     def chromatic(self, caps: Caps | None = None) -> tuple[int, Coloring]:
         k, colors = chromatic_number(self.n, self.adj, caps)
-        omega, _ = max_clique(self.n, self.adj, caps)
-        if omega > k:
-            raise ConstructionError("solver inconsistency: omega > chi")
         return k, Coloring(tuple(colors), k, "exact")
 
     def complement_clique_number(self, caps: Caps | None = None) -> tuple[int, list[int]]:

@@ -32,7 +32,6 @@ from .modules import (
     bits_of,
     close_subset,
     cyclic_members,
-    quotient,
     regular_module,
 )
 from .rings import FiniteRing
@@ -330,8 +329,8 @@ def find_double_simple_image(
 
     The simple submodules of M/K are A/K for the covers A of K, so the
     returned pair is the first pair (A, B) of covers of K, in canonical
-    order, with A/K isomorphic to B/K; A and B are submodules of M.  Only
-    the witness's quotient module is built.
+    order, with A/K isomorphic to B/K; A and B are submodules of M.  No
+    module is built.
     """
     caps = caps or Caps()
     lattice = lattice or enumerate_submodules(module, caps)
@@ -340,8 +339,7 @@ def find_double_simple_image(
         for ai, a in enumerate(covers):
             for b in covers[ai + 1:]:
                 if section_hom_count(a, kernel, b, kernel) > 1:
-                    quot, _ = quotient(module, kernel, caps=caps)
-                    return {"kernel": kernel, "quotient": quot, "pair": (a, b)}
+                    return {"kernel": kernel, "pair": (a, b)}
     return None
 
 

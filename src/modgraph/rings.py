@@ -91,12 +91,6 @@ class FiniteRing:
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
 
-    def element(self, i: int) -> "RingElement":
-        return RingElement(self, i)
-
-    def neg(self, i: int) -> int:
-        return int(np.flatnonzero(self.add[i] == 0)[0])
-
     def is_division_ring(self) -> bool:
         for a in range(1, self.size):
             xs = np.flatnonzero(self.mul[a] == 1)
@@ -106,43 +100,6 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.backend_tag}, n={self.size})"
-
-
-class RingElement:
-    """Thin operator wrapper over a ring index."""
-
-    __slots__ = ("ring", "index")
-
-    def __init__(self, ring: FiniteRing, index: int):
-        if not 0 <= index < ring.size:
-            raise ValueError("element index out of range")
-        self.ring = ring
-        self.index = index
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, RingElement):
-            if other.ring is not self.ring:
-                raise ValueError("elements of different rings")
-            return other.index
-        return int(other)
-
-    def __add__(self, other):
-        return RingElement(self.ring, int(self.ring.add[self.index, self._coerce(other)]))
-
-    def __mul__(self, other):
-        return RingElement(self.ring, int(self.ring.mul[self.index, self._coerce(other)]))
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg(self.index))
-
-    def __eq__(self, other):
-        return isinstance(other, RingElement) and other.ring is self.ring and other.index == self.index
-
-    def __hash__(self):
-        return hash((id(self.ring), self.index))
-
-    def __repr__(self):
-        return f"<{self.ring.label(self.index)}>"
 
 
 def _relabel_unity(add: np.ndarray, mul: np.ndarray, one_raw: int, labels: list[str]):

@@ -9,7 +9,7 @@ approximating.
 from __future__ import annotations
 
 from .caps import Caps
-from .errors import CapExceeded
+from .errors import CapExceeded, ConstructionError
 
 
 def _bits(mask: int):
@@ -89,21 +89,6 @@ def max_cliques(n: int, adj: list[int], caps: Caps | None = None) -> list[list[i
     return sorted(out)
 
 
-def clique_lower_bound(n: int, adj: list[int]) -> tuple[int, list[int]]:
-    """Greedy clique: a LOWER BOUND only, for graphs past the exact cap."""
-    best: list[int] = []
-    for start in range(n):
-        clique = [start]
-        cand = adj[start]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            clique.append(v)
-            cand &= adj[v]
-        if len(clique) > len(best):
-            best = clique
-    return len(best), sorted(best)
-
-
 def greedy_coloring(n: int, adj: list[int]) -> list[int]:
     colors = [-1] * n
     for v in range(n):
@@ -146,7 +131,8 @@ def chromatic_number(n: int, adj: list[int], caps: Caps | None = None) -> tuple[
     """Exact chromatic number with a witness coloring.
 
     Seeded with the clique lower bound and the greedy upper bound, then
-    k-colorability is decided for each k in between.
+    k-colorability is decided for each k in between.  A greedy bound below
+    the clique bound can only come from an improper coloring and raises.
     """
     _check_cap(n, caps)
     if n == 0:
@@ -154,6 +140,8 @@ def chromatic_number(n: int, adj: list[int], caps: Caps | None = None) -> tuple[
     lower, _ = max_clique(n, adj, caps)
     greedy = greedy_coloring(n, adj)
     upper = max(greedy) + 1
+    if upper < lower:
+        raise ConstructionError("solver inconsistency: omega > chi")
     if lower == upper:
         return upper, greedy
     for k in range(lower, upper):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +67,16 @@ def test_tables_match_scalar_ops():
         for b in range(8):
             assert int(add[a, b]) == f8.add(a, b)
             assert int(mul[a, b]) == f8.mul(a, b)
+
+
+def test_tables_do_not_keep_the_field_alive():
+    f8 = gf_build(2, 3)
+    f8.add_table()
+    f8.mul_table()
+    ref = weakref.ref(f8)
+    del f8
+    gc.collect()
+    assert ref() is None
 
 
 @given(st.integers(0, 26))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from modgraph.errors import ConstructionError
 from modgraph.fields import gf_build
 from modgraph.modules import (
+    FiniteModule,
     Submodule,
     close_subset,
     cyclic_members,
@@ -101,3 +102,16 @@ def test_module_axiom_verification_rejects_bad_action():
 
     with pytest.raises(ConstructionError):
         FiniteModule(z4, reg.add, bad_act)
+
+
+def test_regular_module_tables_pass_the_full_module_check(named_contexts, family16_contexts):
+    # a regular module skips its own check because it reuses the ring's
+    # verified tables; copies of those tables defeat the skip
+    rings = {id(c.module.ring): c.module.ring for c in [*named_contexts, *family16_contexts]}
+    for ring in rings.values():
+        FiniteModule(ring, ring.add.copy(), ring.mul.copy())
+        bad = ring.mul.copy()
+        r = x = ring.size - 1
+        bad[r, x] = (bad[r, x] + 1) % ring.size
+        with pytest.raises(ConstructionError):
+            FiniteModule(ring, ring.add.copy(), bad)

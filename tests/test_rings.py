@@ -169,11 +169,3 @@ def test_sampled_verification_catches_defects():
     bad[5, 7] = 0
     with pytest.raises(ConstructionError):
         ring_from_tables(z12.add.tolist(), bad.tolist(), caps=caps)
-
-
-def test_ring_element_wrapper():
-    z12 = ring_zmod(12)
-    a = z12.element(7)
-    assert (a + a).index == 2
-    assert (a * z12.element(5)).index == 11
-    assert (-a).index == 5

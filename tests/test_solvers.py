@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modgraph import solvers
 from modgraph.caps import Caps
-from modgraph.errors import CapExceeded
+from modgraph.errors import CapExceeded, ConstructionError
 from modgraph.solvers import (
     chromatic_number,
-    clique_lower_bound,
     greedy_coloring,
     is_proper_coloring,
     max_clique,
@@ -107,14 +107,11 @@ def test_vertex_cap_enforced():
     assert max_clique(n, [0] * n, Caps(max_exact_vertices=128))[0] == 1
 
 
-@given(random_graph())
-@settings(max_examples=60, deadline=None)
-def test_clique_lower_bound_is_a_valid_clique(g):
-    n, adj = g
-    size, witness = clique_lower_bound(n, adj)
-    assert len(witness) == size
-    assert all((adj[u] >> v) & 1 for i, u in enumerate(witness) for v in witness[i + 1:])
-    assert size <= brute_max_clique(n, adj)[0]
+def test_improper_greedy_coloring_is_caught(monkeypatch):
+    # a coloring with fewer colors than the clique number must be improper
+    monkeypatch.setattr(solvers, "greedy_coloring", lambda n, adj: [0] * n)
+    with pytest.raises(ConstructionError, match="omega > chi"):
+        chromatic_number(4, complete(4))
 
 
 def test_deterministic_witnesses():
