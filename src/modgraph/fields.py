@@ -204,6 +204,7 @@ class FiniteField:
             s = (d[:, None, :] + d[None, :, :]) % self.p
             weights = self.p ** np.arange(self.k)
             self._add_table = (s @ weights).astype(np.int16)
+            self._add_table.flags.writeable = False
         return self._add_table
 
     def mul_table(self) -> np.ndarray:
@@ -213,6 +214,7 @@ class FiniteField:
             if q > 1:
                 lg = self._log[1:]
                 t[1:, 1:] = self._exp[(lg[:, None] + lg[None, :]) % (q - 1)]
+            t.flags.writeable = False
             self._mul_table = t
         return self._mul_table
 

@@ -1,10 +1,13 @@
 """Intersection graphs of submodule lattices.
 
 Vertices are the nontrivial submodules in canonical lattice order; two
-vertices are adjacent exactly when their intersection is nonzero.  Exact
-invariants delegate to the branch-and-bound solvers; the two structural
-coloring schemes never return an improper coloring, reporting an
-applicability failure instead.
+vertices are adjacent exactly when their intersection is nonzero.  Walks
+run on the adjacency bitsets a whole frontier at a time (one step ORs the
+masks of every frontier vertex), which gives connectivity and diameter;
+girth is 3 as soon as a triangle exists, and only triangle-free graphs get a
+per-vertex BFS.  Exact invariants delegate to the branch-and-bound
+solvers; the two structural coloring schemes never return an improper
+coloring, reporting an applicability failure instead.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .lattice import Lattice, simples_isomorphic
 from .solvers import (
     chromatic_number,
     is_proper_coloring,
+    iter_bits,
     max_clique,
     max_cliques,
 )
@@ -98,40 +102,31 @@ class IntersectionGraph:
 
     # -- walks -------------------------------------------------------------
 
-    def _bfs(self, start: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[start] = 0
-        queue = [start]
-        while queue:
-            nxt = []
-            for u in queue:
-                mask = self.adj[u]
-                while mask:
-                    w = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    if dist[w] < 0:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            queue = nxt
-        return dist
+    def _eccentricity(self, start: int) -> float:
+        """Largest distance from start, or INF when some vertex is out of reach."""
+        seen = frontier = 1 << start
+        depth = 0
+        while True:
+            reach = 0
+            for u in iter_bits(frontier):
+                reach |= self.adj[u]
+            frontier = reach & ~seen
+            if not frontier:
+                return depth if seen == (1 << self.n) - 1 else INF
+            seen |= frontier
+            depth += 1
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return min(self._bfs(0)) >= 0
+        return self.n <= 1 or self._eccentricity(0) != INF
 
     def diameter(self) -> float:
-        if self.n <= 1:
-            return 0
-        best = 0
-        for v in range(self.n):
-            dist = self._bfs(v)
-            if min(dist) < 0:
-                return INF
-            best = max(best, max(dist))
-        return best
+        return max(map(self._eccentricity, range(self.n)), default=0)
 
     def girth(self) -> float:
+        """Shortest cycle length: 3 when there is a triangle, else the
+        shortest cycle seen by a BFS from every vertex."""
+        if not self.is_triangle_free():
+            return 3
         best = INF
         for s in range(self.n):
             dist = [-1] * self.n
@@ -141,10 +136,7 @@ class IntersectionGraph:
             while queue:
                 nxt = []
                 for u in queue:
-                    mask = self.adj[u]
-                    while mask:
-                        w = (mask & -mask).bit_length() - 1
-                        mask &= mask - 1
+                    for w in iter_bits(self.adj[u]):
                         if dist[w] < 0:
                             dist[w] = dist[u] + 1
                             parent[w] = u
@@ -155,11 +147,9 @@ class IntersectionGraph:
         return best
 
     def is_triangle_free(self) -> bool:
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.adj[i] >> j) & 1 and self.adj[i] & self.adj[j]:
-                    return False
-        return True
+        """No edge whose ends have a common neighbour."""
+        adj = self.adj
+        return not any(adj[i] & adj[j] for i in range(self.n) for j in iter_bits(adj[i]))
 
     # -- shapes --------------------------------------------------------------
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .caps import Caps
 from .errors import CapExceeded, ConstructionError
-from .rings import TABLE_DTYPE, FiniteRing
+from .rings import TABLE_DTYPE, FiniteRing, frozen_table
 
 
 class FiniteModule:
@@ -34,13 +34,11 @@ class FiniteModule:
             raise ConstructionError("module table shapes inconsistent")
         self.ring = ring
         self.size = m
-        self.add = np.ascontiguousarray(add, dtype=TABLE_DTYPE)
-        self.act = np.ascontiguousarray(act, dtype=TABLE_DTYPE)
+        self.add = frozen_table(add)
+        self.act = frozen_table(act)
         self.labels = labels
         self.meta = meta or {}
         self._verify(caps)
-        self.add.flags.writeable = False
-        self.act.flags.writeable = False
 
     def _verify(self, caps: Caps) -> None:
         if self.add is self.ring.add and self.act is self.ring.mul:

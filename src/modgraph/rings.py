@@ -21,6 +21,17 @@ from .fields import FiniteField, SubfieldEmbedding, is_prime, subfield
 TABLE_DTYPE = np.int16
 
 
+def frozen_table(table: np.ndarray) -> np.ndarray:
+    """`table` as a read-only C-contiguous TABLE_DTYPE array.  A read-only
+    array already in that form is shared; a writable one is copied, so the
+    caller's own array is never frozen."""
+    out = np.ascontiguousarray(table, dtype=TABLE_DTYPE)
+    if out.flags.writeable and np.may_share_memory(out, table):
+        out = out.copy()
+    out.flags.writeable = False
+    return out
+
+
 class FiniteRing:
     def __init__(
         self,
@@ -38,16 +49,14 @@ class FiniteRing:
         if add.shape != (n, n) or mul.shape != (n, n):
             raise ConstructionError("tables must be square and same size")
         self.size = n
-        self.add = np.ascontiguousarray(add, dtype=TABLE_DTYPE)
-        self.mul = np.ascontiguousarray(mul, dtype=TABLE_DTYPE)
+        self.add = frozen_table(add)
+        self.mul = frozen_table(mul)
         self.zero = 0
         self.one = 1
         self.backend_tag = backend_tag
         self.labels = labels
         self.meta = meta or {}
         self._verify(caps)
-        self.add.flags.writeable = False
-        self.mul.flags.writeable = False
 
     # -- axioms ----------------------------------------------------------
 

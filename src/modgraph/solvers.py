@@ -2,8 +2,10 @@
 
 Graphs are given as (n, adj) where adj[v] is an int bitmask of neighbours.
 All searches use fixed canonical orders, so witnesses are deterministic.
-The exact solvers refuse graphs above a vertex cap instead of silently
-approximating.
+The maximum-clique search first renumbers the vertices by degree, highest
+first with ties broken by index (the initial order of Tomita-Seki's MCQ),
+and maps its witness back to the caller's numbering, sorted.  The exact
+solvers refuse graphs above a vertex cap instead of silently approximating.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from .caps import Caps
 from .errors import CapExceeded, ConstructionError
 
 
-def _bits(mask: int):
+def iter_bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -25,11 +28,20 @@ def _check_cap(n: int, caps: Caps | None) -> None:
         raise CapExceeded(f"{n} vertices exceeds the exact-solver cap {cap}")
 
 
+def _by_degree(n: int, adj: list[int]) -> list[int]:
+    """Vertices by degree descending, ties by index."""
+    return sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+
+
 def max_clique(n: int, adj: list[int], caps: Caps | None = None) -> tuple[int, list[int]]:
-    """Maximum clique by branch and bound with a greedy coloring bound."""
+    """Maximum clique by branch and bound with a greedy coloring bound, on
+    the degree-ordered renumbering of the graph."""
     _check_cap(n, caps)
     if n == 0:
         return 0, []
+    orig = _by_degree(n, adj)  # vertex i of the search is vertex orig[i]
+    pos = {v: i for i, v in enumerate(orig)}
+    adj = [sum(1 << pos[u] for u in iter_bits(adj[v])) for v in orig]
     best: list[int] = []
 
     def color_bound(cand: int) -> list[tuple[int, int]]:
@@ -63,7 +75,7 @@ def max_clique(n: int, adj: list[int], caps: Caps | None = None) -> tuple[int, l
             cand &= ~(1 << v)
 
     expand([], (1 << n) - 1)
-    return len(best), sorted(best)
+    return len(best), sorted(orig[v] for v in best)
 
 
 def max_cliques(n: int, adj: list[int], caps: Caps | None = None) -> list[list[int]]:
@@ -76,8 +88,8 @@ def max_cliques(n: int, adj: list[int], caps: Caps | None = None) -> list[list[i
             out.append(sorted(r))
             return
         pux = p | x
-        pivot = max(_bits(pux), key=lambda u: (p & adj[u]).bit_count())
-        for v in _bits(p & ~adj[pivot]):
+        pivot = max(iter_bits(pux), key=lambda u: (p & adj[u]).bit_count())
+        for v in iter_bits(p & ~adj[pivot]):
             r.append(v)
             bk(r, p & adj[v], x & adj[v])
             r.pop()
@@ -92,7 +104,7 @@ def max_cliques(n: int, adj: list[int], caps: Caps | None = None) -> list[list[i
 def greedy_coloring(n: int, adj: list[int]) -> list[int]:
     colors = [-1] * n
     for v in range(n):
-        used = {colors[u] for u in _bits(adj[v]) if colors[u] >= 0}
+        used = {colors[u] for u in iter_bits(adj[v]) if colors[u] >= 0}
         c = 0
         while c in used:
             c += 1
@@ -106,14 +118,13 @@ def _colorable(n: int, adj: list[int], k: int) -> list[int] | None:
     Symmetry is broken by allowing at most one brand-new color per vertex.
     """
     colors = [-1] * n
-    # order vertices by degree descending (ties by index) to fail fast
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    order = _by_degree(n, adj)  # high degree first, to fail fast
 
     def place(i: int, used: int) -> bool:
         if i == n:
             return True
         v = order[i]
-        banned = {colors[u] for u in _bits(adj[v]) if colors[u] >= 0}
+        banned = {colors[u] for u in iter_bits(adj[v]) if colors[u] >= 0}
         limit = min(used + 1, k)
         for c in range(limit):
             if c in banned:
@@ -152,4 +163,4 @@ def chromatic_number(n: int, adj: list[int], caps: Caps | None = None) -> tuple[
 
 
 def is_proper_coloring(n: int, adj: list[int], colors: list[int]) -> bool:
-    return all(colors[v] != colors[u] for v in range(n) for u in _bits(adj[v]) if u > v)
+    return all(colors[v] != colors[u] for v in range(n) for u in iter_bits(adj[v]) if u > v)

@@ -200,6 +200,18 @@ def brute_girth(n, adj):
     return best[0]
 
 
+def brute_distances(n, adj):
+    """All-pairs shortest path lengths by Floyd-Warshall; inf when unreachable."""
+    inf = float("inf")
+    dist = [[0 if u == v else 1 if (adj[u] >> v) & 1 else inf for v in range(n)] for u in range(n)]
+    for w in range(n):
+        for u in range(n):
+            for v in range(n):
+                if dist[u][w] + dist[w][v] < dist[u][v]:
+                    dist[u][v] = dist[u][w] + dist[w][v]
+    return dist
+
+
 def brute_covers(subsets):
     """Cover pairs (i, j) of a family of member tuples: subsets[i] is a proper
     subset of subsets[j] and no member of the family lies strictly between."""

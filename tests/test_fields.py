@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from modgraph.caps import Caps
 from modgraph.errors import ConstructionError
 from modgraph.fields import gf_build, smallest_irreducible, subfield
+from modgraph.rings import ring_from_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
 
@@ -67,6 +68,16 @@ def test_tables_match_scalar_ops():
         for b in range(8):
             assert int(add[a, b]) == f8.add(a, b)
             assert int(mul[a, b]) == f8.mul(a, b)
+
+
+def test_cached_tables_are_read_only():
+    # every caller gets the same cached arrays, so a write must not go through
+    f4 = gf_build(2, 2)
+    for table in (f4.add_table(), f4.mul_table()):
+        with pytest.raises(ValueError):
+            table[2, 3] = 0
+    ring = ring_from_field(f4)
+    assert int(ring.add[2, 3]) == f4.add(2, 3)
 
 
 def test_tables_do_not_keep_the_field_alive():

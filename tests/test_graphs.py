@@ -2,23 +2,28 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from modgraph.caps import Caps
 from modgraph.errors import StructureError
 from modgraph.fields import gf_build
 from modgraph.graphs import (
     ApplicabilityFailure,
     Coloring,
+    IntersectionGraph,
     build_graph,
     color_by_overline,
     color_complement_by_uniform_clique,
     homogeneous_socle_pair,
 )
 from modgraph.lattice import enumerate_submodules
-from modgraph.modules import regular_module
-from modgraph.rings import ring_zmod
+from modgraph.modules import direct_sum, regular_module
+from modgraph.rings import ring_from_field, ring_zmod
 from modgraph.solvers import is_proper_coloring
 
-from .oracles import brute_girth
+from .oracles import brute_distances, brute_girth
+from .test_solvers import PETERSEN, cycle, graph_from_edges
 
 INF = math.inf
 
@@ -107,6 +112,75 @@ def test_girth_and_diameter():
     z6 = graph_of(regular_module(ring_zmod(6)))
     assert not z6.is_connected()
     assert z6.diameter() == INF
+
+
+def walk_graph(n, adj):
+    """An IntersectionGraph over a given adjacency; the walks read only n and adj."""
+    g = IntersectionGraph.__new__(IntersectionGraph)
+    g.n, g.adj = n, list(adj)
+    return g
+
+
+def assert_walks_match_distances(n, adj, label=None):
+    dist = brute_distances(n, adj)
+    far = max((d for row in dist for d in row), default=0)
+    g = walk_graph(n, adj)
+    assert g.is_connected() == (far != INF), label
+    assert g.diameter() == far, label
+
+
+@st.composite
+def random_graph(draw):
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
+    return n, graph_from_edges(n, edges)
+
+
+def test_walks_match_distance_oracle_on_zoo_and_census(named_contexts, family16_contexts):
+    for ctx in [*named_contexts, *family16_contexts]:
+        assert_walks_match_distances(ctx.graph.n, ctx.graph.adj, ctx.instance_id)
+
+
+@given(random_graph())
+@example((0, []))
+@example((1, [0]))
+@example((2, [0, 0]))
+@example((4, graph_from_edges(4, [(0, 1), (2, 3)])))
+@settings(max_examples=150, deadline=None)
+def test_walks_match_oracles_on_random_graphs(graph):
+    n, adj = graph
+    assert_walks_match_distances(n, adj)
+    assert walk_graph(n, adj).girth() == brute_girth(n, adj)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_girth_of_triangle_free_cycles(n):
+    assert walk_graph(n, cycle(n)).girth() == n == brute_girth(n, cycle(n))
+
+
+def test_girth_of_petersen():
+    g = walk_graph(10, PETERSEN)
+    assert g.is_triangle_free() and g.girth() == 5 == brute_girth(10, PETERSEN)
+    assert g.diameter() == 2
+
+
+def test_f2_fourth_power_closed_forms():
+    # nontrivial subspaces of V = F_q^4 for q = 2
+    q = 2
+    reg = regular_module(ring_from_field(gf_build(q, 1)))
+    space = reg
+    for _ in range(3):
+        space = direct_sum(space, reg)
+    g = graph_of(space)
+    caps = Caps(max_exact_vertices=g.n)
+    assert g.n == 65
+    # hyperplanes pairwise meet, and planes through a fixed line meet each
+    # other and every hyperplane
+    assert g.clique_number(caps)[0] == (q**3 + q**2 + q + 1) + (q**2 + q + 1) == 22
+    # distinct lines meet trivially
+    assert g.complement_clique_number(caps)[0] == (q**4 - 1) // (q - 1) == 15
+    assert g.diameter() == 2 and g.girth() == 3 and g.is_connected()
 
 
 def test_girth_matches_path_oracle(named_contexts):

@@ -16,7 +16,7 @@ from modgraph.modules import (
     submodule_as_module,
     submodule_generated,
 )
-from modgraph.rings import ring_from_field, ring_zmod
+from modgraph.rings import FiniteRing, ring_from_field, ring_zmod
 
 from .oracles import naive_closure
 
@@ -115,3 +115,16 @@ def test_regular_module_tables_pass_the_full_module_check(named_contexts, family
         bad[r, x] = (bad[r, x] + 1) % ring.size
         with pytest.raises(ConstructionError):
             FiniteModule(ring, ring.add.copy(), bad)
+
+
+def test_construction_never_freezes_the_callers_arrays():
+    r = ring_zmod(4)
+    a = r.mul.copy()
+    m = FiniteModule(r, r.add.copy(), a)
+    assert a.flags.writeable and not m.act.flags.writeable
+    add, mul = r.add.copy(), r.mul.copy()
+    FiniteRing(add, mul, "table")
+    assert add.flags.writeable and mul.flags.writeable
+    # read-only arrays are shared, so R_R still reuses its ring's tables
+    reg = regular_module(r)
+    assert reg.add is r.add and reg.act is r.mul

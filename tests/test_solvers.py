@@ -80,6 +80,7 @@ def test_solvers_match_brute_force(g):
     omega, witness = max_clique(n, adj)
     assert omega == brute_max_clique(n, adj)[0]
     assert len(witness) == omega
+    assert all((adj[u] >> v) & 1 for i, u in enumerate(witness) for v in witness[i + 1:])
     chi, colors = chromatic_number(n, adj)
     assert chi == brute_chromatic(n, adj)
     assert is_proper_coloring(n, adj, colors)
@@ -91,6 +92,24 @@ def test_solvers_match_brute_force(g):
 def test_greedy_coloring_always_proper(g):
     n, adj = g
     assert is_proper_coloring(n, adj, greedy_coloring(n, adj))
+
+
+def test_max_clique_matches_oracles_on_zoo_and_census(named_contexts, family16_contexts):
+    # max_clique searches a degree-ordered renumbering; the value and the
+    # witness, read back in the caller's numbering, must agree with
+    # Bron-Kerbosch and with the subset scan on the graph and its complement
+    checked = 0
+    for ctx in [*named_contexts, *family16_contexts]:
+        g = ctx.graph
+        for adj in (g.adj, g.complement_adj()):
+            omega, witness = max_clique(g.n, adj)
+            assert omega == max((len(c) for c in max_cliques(g.n, adj)), default=0), ctx.instance_id
+            if g.n <= 16:
+                assert omega == brute_max_clique(g.n, adj)[0], ctx.instance_id
+            assert len(witness) == omega and witness == sorted(set(witness)), ctx.instance_id
+            assert all((adj[u] >> v) & 1 for i, u in enumerate(witness) for v in witness[i + 1:])
+            checked += 1
+    assert checked == 2 * (len(named_contexts) + len(family16_contexts))
 
 
 def test_omega_never_exceeds_chi():
