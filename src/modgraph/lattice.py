@@ -1,9 +1,12 @@
 """Exhaustive submodule lattices and structure theory built on them.
 
-Enumeration seeds with all cyclic submodules Rx and closes the family under
-pairwise joins; every submodule is a finite sum of cyclic ones, so the
-result is complete.  The canonical order is (size, member tuple), and all
-vertex numbering downstream derives from it.
+Enumeration is by cyclic extension (Lux, Mueller and Ringe, "Peakword
+condensation and submodule lattices", J. Symb. Comp. 1994): starting from
+{0}, each frontier of new submodules S is extended by every distinct cyclic
+submodule C = Rx, giving S + C.  Every submodule N = Rx_1 + ... + Rx_k is
+reached along 0 < Rx_1 < Rx_1 + Rx_2 < ..., so the result is complete.  The
+canonical order is (size, member tuple), and all vertex numbering downstream
+derives from it.
 
 Each lattice computes its order kernel (containment and cover bitsets over
 lattice indices, heights) once, on first use.  Quotient and section facts are
@@ -29,12 +32,24 @@ from .errors import CapExceeded, ConstructionError, StructureError
 from .modules import (
     FiniteModule,
     Submodule,
-    bits_of,
     close_subset,
     cyclic_members,
     regular_module,
 )
 from .rings import FiniteRing
+
+
+def _sums(module: FiniteModule, mem_s: np.ndarray, mems: list[np.ndarray]):
+    """S + C = {s + c} for the members mem_s of a submodule S and each member
+    array C in mems (any order, repeats allowed).  Returns the bitsets of
+    the sums and their boolean carrier masks, one row per C."""
+    mask = np.zeros((len(mems), module.size), dtype=bool)
+    rows = np.repeat(np.arange(len(mems)), [len(c) for c in mems])
+    mask[rows, module.add[mem_s[:, None], np.concatenate(mems)]] = True
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    bits = [int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
+    return bits, mask
 
 
 def _indices(mask: int):
@@ -65,7 +80,7 @@ class Lattice:
         self.subs = tuple(sorted(subs, key=lambda s: s.key))
         self._pos = {s.bits: i for i, s in enumerate(self.subs)}
         self.zero_index = self._pos[1]
-        self.full_index = self._pos[bits_of(range(module.size))]
+        self.full_index = self._pos[(1 << module.size) - 1]
 
     def __len__(self) -> int:
         return len(self.subs)
@@ -81,13 +96,11 @@ class Lattice:
         return self._pos[self.subs[i].bits & self.subs[j].bits]
 
     def join_index(self, i: int, j: int) -> int:
-        un = self.subs[i].bits | self.subs[j].bits
-        got = self._pos.get(un)
+        a, b = self.subs[i], self.subs[j]
+        got = self._pos.get(a.bits | b.bits)
         if got is not None:
             return got
-        a, b = self.subs[i], self.subs[j]
-        mem = np.unique(self.module.add[np.ix_(a.members, b.members)])
-        return self._pos[bits_of(mem)]
+        return self._pos[_sums(self.module, np.array(a.members), [np.array(b.members)])[0][0]]
 
     @cached_property
     def _order(self) -> _Order:
@@ -219,29 +232,32 @@ class Lattice:
 
 def enumerate_submodules(module: FiniteModule, caps: Caps | None = None) -> Lattice:
     caps = caps or Caps()
-    known: dict[int, np.ndarray] = {}
-    for x in range(module.size):
-        mem = cyclic_members(module, x)
-        known.setdefault(bits_of(mem), mem)
-    worklist = list(known.items())
-    while worklist:
+    zero = np.zeros(1, dtype=np.intp)
+    # Rx = {0} + {r x : r in R}; distinct cyclics keyed by their bitsets
+    bits, masks = _sums(module, zero, [module.act[:, x] for x in range(module.size)])
+    cyclics = {b: np.flatnonzero(row) for b, row in zip(bits, masks)}
+    known = {1: zero}
+    frontier = [(1, zero)]
+    while frontier:
         fresh: list[tuple[int, np.ndarray]] = []
-        snapshot = list(known.items())
-        for bits_a, mem_a in worklist:
-            for bits_b, mem_b in snapshot:
-                un = bits_a | bits_b
-                if un == bits_a or un == bits_b or un in known:
-                    continue
-                mem_j = np.unique(module.add[np.ix_(mem_a, mem_b)])
-                bj = bits_of(mem_j)
-                if bj not in known:
-                    known[bj] = mem_j
-                    fresh.append((bj, mem_j))
+        for bits_s, mem_s in frontier:
+            grow = [
+                mem_c for bits_c, mem_c in cyclics.items()
+                if bits_c & bits_s != bits_c and bits_s | bits_c not in known
+            ]
+            if not grow:
+                continue
+            bits, masks = _sums(module, mem_s, grow)
+            for b, row in zip(bits, masks):
+                if b not in known:
+                    known[b] = mem = np.flatnonzero(row)
+                    fresh.append((b, mem))
                     if len(known) > caps.max_submodules:
                         raise CapExceeded(
-                            f"more than {caps.max_submodules} submodules; raise the cap to proceed"
+                            f"more than max_submodules={caps.max_submodules} submodules;"
+                            " raise the cap to proceed"
                         )
-        worklist = fresh
+        frontier = fresh
     return Lattice(module, [Submodule(module, mem) for mem in known.values()])
 
 

@@ -129,8 +129,11 @@ def _relabel_unity(add: np.ndarray, mul: np.ndarray, one_raw: int, labels: list[
 
 
 def ring_zmod(n: int, caps: Caps | None = None) -> FiniteRing:
+    caps = caps or Caps()
     if n < 2:
         raise ConstructionError("modulus must be >= 2")
+    if n > caps.max_ring_size:
+        raise CapExceeded(f"ring size {n} exceeds cap max_ring_size={caps.max_ring_size}")
     i = np.arange(n)
     add = (i[:, None] + i[None, :]) % n
     mul = (i[:, None] * i[None, :]) % n

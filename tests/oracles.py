@@ -128,6 +128,42 @@ def subspace_count(d, q):
     return sum(gaussian_binomial(d, k, q) for k in range(d + 1))
 
 
+def _conjugate(parts):
+    """Conjugate partition: entry i counts the parts larger than i."""
+    return [sum(1 for x in parts if x > i) for i in range(max(parts, default=0))]
+
+
+def _partitions_inside(mu, cap=None):
+    """Every partition nu with nu_i <= mu_i for all i (nu padded with zeros)."""
+    if not mu:
+        yield ()
+        return
+    top = mu[0] if cap is None else min(mu[0], cap)
+    for first in range(top, -1, -1):
+        for rest in _partitions_inside(mu[1:], first):
+            yield (first,) + rest
+
+
+def abelian_p_group_subgroup_count(p, mu):
+    """Number of subgroups of the abelian p-group Z/p^mu_1 x Z/p^mu_2 x ...,
+    by Birkhoff's formula (Butler, Subgroup lattices and symmetric
+    functions, Mem. AMS 1994): the subgroups of type nu number
+    prod_i p^(nu'_(i+1) (mu'_i - nu'_i)) [mu'_i - nu'_(i+1), nu'_i - nu'_(i+1)]_p,
+    with ' the conjugate partition, summed over every nu inside mu."""
+    mu = sorted(mu, reverse=True)
+    mu_c = _conjugate(mu)
+    total = 0
+    for nu in _partitions_inside(mu):
+        nu_c = _conjugate(nu)
+        nu_c += [0] * (len(mu_c) + 1 - len(nu_c))
+        term = 1
+        for i, a in enumerate(mu_c):
+            b, c = nu_c[i], nu_c[i + 1]
+            term *= p ** (c * (a - b)) * gaussian_binomial(a - c, b - c, p)
+        total += term
+    return total
+
+
 def brute_goldie(lattice):
     """Largest direct family of nonzero submodules, by exhaustive extension.
 

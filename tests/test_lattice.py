@@ -24,10 +24,12 @@ from modgraph.rings import (
 )
 
 from .oracles import (
+    abelian_p_group_subgroup_count,
     brute_endomorphism_count,
     brute_goldie,
     brute_submodules_grow,
     brute_submodules_subsets,
+    naive_closure,
     subspace_count,
 )
 
@@ -60,6 +62,43 @@ def test_enumeration_matches_brute_force(module):
     assert got == brute_submodules_grow(module)
     if module.size <= 16:
         assert got == brute_submodules_subsets(module)
+
+
+def zmod_sum(n, orders):
+    """Z/o_1 + Z/o_2 + ... as a Z/n-module, for divisors o_i of n."""
+    reg = regular_module(ring_zmod(n))
+    out = None
+    for o in orders:
+        part = reg if o == n else quotient(reg, submodule_generated(reg, [o]))[0]
+        out = part if out is None else direct_sum(out, part)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,orders,p,mu,count",
+    [
+        (4, [4], 2, [2], 3),
+        (4, [4, 4], 2, [2, 2], 15),
+        (4, [4, 4, 4], 2, [2, 2, 2], 129),
+        (4, [4, 4, 4, 4], 2, [2, 2, 2, 2], 1983),
+        (8, [8, 2], 2, [3, 1], 11),
+        (9, [9, 9], 3, [2, 2], 23),
+    ],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, list) else str(v),
+)
+def test_abelian_p_group_lattice_sizes(n, orders, p, mu, count):
+    # Z/n-submodules of a Z/n-module are its subgroups
+    lat = enumerate_submodules(zmod_sum(n, orders))
+    assert len(lat) == abelian_p_group_subgroup_count(p, mu) == count
+
+
+@pytest.mark.parametrize("module", [vector_space(2, 1, 4), zmod_sum(4, [4, 4])], ids=["F2^4", "Z4^2"])
+def test_join_matches_closure_oracle(module):
+    lat = enumerate_submodules(module)
+    pos = {frozenset(s.members): k for k, s in enumerate(lat.subs)}
+    for i, a in enumerate(lat.subs):
+        for j, b in enumerate(lat.subs):
+            assert lat.join_index(i, j) == pos[naive_closure(module, a.members + b.members)]
 
 
 def test_z12_lattice_contents(z12_module):
@@ -100,7 +139,7 @@ def test_modular_law_on_small_lattices():
                     assert left == right
 
 
-@pytest.mark.parametrize("q,d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize("q,d", [(2, 1), (2, 2), (2, 3), (2, 6), (3, 1), (3, 2), (3, 3)])
 def test_subspace_counts_match_gaussian_binomials(q, d):
     lat = enumerate_submodules(vector_space(q, 1, d))
     assert len(lat) == subspace_count(d, q)
@@ -248,3 +287,10 @@ def test_prime_radical_examples(triangular_f4):
 def test_submodule_count_cap():
     with pytest.raises(CapExceeded):
         enumerate_submodules(vector_space(2, 1, 4), Caps(max_submodules=10))
+
+
+def test_cap_counts_every_submodule():
+    # every submodule of Z/8 is cyclic, so the cap must count those too
+    with pytest.raises(CapExceeded, match="max_submodules=2"):
+        enumerate_submodules(regular_module(ring_zmod(8)), Caps(max_submodules=2))
+    assert len(enumerate_submodules(regular_module(ring_zmod(8)), Caps(max_submodules=4))) == 4

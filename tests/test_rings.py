@@ -151,6 +151,15 @@ def test_size_cap():
         ring_matrix(gf_build(2, 3), 2, caps=Caps(max_ring_size=1024))
 
 
+def test_zmod_cap_is_checked_before_any_table(monkeypatch):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a table was built before the cap check")
+
+    monkeypatch.setattr(np, "arange", no_tables)
+    with pytest.raises(CapExceeded, match="max_ring_size=8"):
+        ring_zmod(9, caps=Caps(max_ring_size=8))
+
+
 def test_table_ring_validation():
     z4 = ring_zmod(4)
     ok = ring_from_tables(z4.add.tolist(), z4.mul.tolist())
