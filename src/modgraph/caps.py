@@ -1,6 +1,7 @@
 """Resource caps for constructions, lattice enumeration and exact solvers.
 
 Caps bound memory (operation tables are O(n^2)) and combinatorial blow-up.
+Every CapExceeded message names the field it hit, as `max_ring_size=<value>`.
 Defaults can be overridden per call, via CLI flags, or with the env var
 MODGRAPH_CAPS="max_ring_size=512,max_submodules=10000,max_exact_vertices=32".
 """
@@ -10,11 +11,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from .errors import SpecError
+
 DEFAULT_MAX_RING_SIZE = 1024
 DEFAULT_MAX_SUBMODULES = 20_000
 DEFAULT_MAX_EXACT_VERTICES = 64
-DEFAULT_VERIFY_EXHAUSTIVE = 256
-DEFAULT_VERIFY_SAMPLES = 20_000
 
 
 @dataclass(frozen=True)
@@ -23,9 +24,6 @@ class Caps:
     max_module_size: int = DEFAULT_MAX_RING_SIZE
     max_submodules: int = DEFAULT_MAX_SUBMODULES
     max_exact_vertices: int = DEFAULT_MAX_EXACT_VERTICES
-    # axiom checks are exhaustive up to this carrier size, sampled above
-    verify_exhaustive: int = DEFAULT_VERIFY_EXHAUSTIVE
-    verify_samples: int = DEFAULT_VERIFY_SAMPLES
 
     def override(self, **kwargs) -> "Caps":
         known = {k: v for k, v in kwargs.items() if v is not None}
@@ -33,7 +31,8 @@ class Caps:
 
 
 def caps_from_env(base: Caps | None = None) -> Caps:
-    """Parse MODGRAPH_CAPS ("key=int,key=int"); unknown keys are rejected."""
+    """Parse MODGRAPH_CAPS ("key=int,key=int"); an unknown key or a value
+    that is not an integer raises SpecError naming the key."""
     caps = base or Caps()
     raw = os.environ.get("MODGRAPH_CAPS", "").strip()
     if not raw:
@@ -46,6 +45,9 @@ def caps_from_env(base: Caps | None = None) -> Caps:
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in Caps.__dataclass_fields__:
-            raise ValueError(f"unknown cap {key!r} in MODGRAPH_CAPS")
-        fields[key] = int(value)
+            raise SpecError(f"unknown cap {key!r} in MODGRAPH_CAPS")
+        try:
+            fields[key] = int(value)
+        except ValueError:
+            raise SpecError(f"cap {key!r} in MODGRAPH_CAPS needs an integer, got {value!r}") from None
     return caps.override(**fields)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caps import Caps
-from .errors import ConstructionError
+from .errors import CapExceeded, ConstructionError
 
 Poly = tuple[int, ...]  # little-endian coefficients over Z/p, no trailing zeros
 
@@ -66,26 +66,19 @@ def _is_irreducible(m: Poly, p: int) -> bool:
     deg = len(m) - 1
     for d in range(1, deg // 2 + 1):
         for code in range(p**d):
-            div = _decode_poly(code, p) + (0,) * (d - _poly_len(code, p)) + (1,)
-            if not poly_mod(m, div, p):
+            if not poly_mod(m, _monic(code, p, d), p):
                 return False
     return True
 
 
-def _poly_len(code: int, p: int) -> int:
-    n = 0
+def _monic(code: int, p: int, d: int) -> Poly:
+    """The monic polynomial of degree d whose lower coefficients are the
+    little-endian base-p digits of code."""
+    low = []
     while code:
+        low.append(code % p)
         code //= p
-        n += 1
-    return n
-
-
-def _decode_poly(code: int, p: int) -> Poly:
-    digits = []
-    while code:
-        digits.append(code % p)
-        code //= p
-    return tuple(digits)
+    return tuple(low) + (0,) * (d - len(low)) + (1,)
 
 
 def smallest_irreducible(p: int, k: int) -> Poly:
@@ -93,8 +86,7 @@ def smallest_irreducible(p: int, k: int) -> Poly:
     if k == 1:
         return (0, 1)
     for code in range(p**k):
-        low = _decode_poly(code, p)
-        m = low + (0,) * (k - len(low)) + (1,)
+        m = _monic(code, p, k)
         if _is_irreducible(m, p):
             return m
     raise ConstructionError(f"no irreducible of degree {k} over Z/{p}")  # unreachable
@@ -111,7 +103,7 @@ class FiniteField:
             raise ConstructionError(f"extension degree must be >= 1, got {k}")
         size = p**k
         if size > caps.max_ring_size:
-            raise ConstructionError(f"field size {size} exceeds cap {caps.max_ring_size}")
+            raise CapExceeded(f"field size {size} exceeds cap max_ring_size={caps.max_ring_size}")
         self.p = p
         self.k = k
         self.size = size
@@ -145,10 +137,6 @@ class FiniteField:
 
     def add(self, a: int, b: int) -> int:
         s = (self._digits[a] + self._digits[b]) % self.p
-        return int(s @ (self.p ** np.arange(self.k)))
-
-    def neg(self, a: int) -> int:
-        s = (-self._digits[a]) % self.p
         return int(s @ (self.p ** np.arange(self.k)))
 
     def mul(self, a: int, b: int) -> int:

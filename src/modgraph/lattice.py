@@ -37,6 +37,7 @@ from .modules import (
     regular_module,
 )
 from .rings import FiniteRing
+from .solvers import iter_bits
 
 
 def _sums(module: FiniteModule, mem_s: np.ndarray, mems: list[np.ndarray]):
@@ -50,14 +51,6 @@ def _sums(module: FiniteModule, mem_s: np.ndarray, mems: list[np.ndarray]):
     raw, width = packed.tobytes(), packed.shape[1]
     bits = [int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
     return bits, mask
-
-
-def _indices(mask: int):
-    """Positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class _Order(NamedTuple):
@@ -117,12 +110,12 @@ class Lattice:
             down[i] = below
             strict = below & ~(1 << i)
             shadow = 0
-            for j in _indices(strict):
+            for j in iter_bits(strict):
                 shadow |= down[j] & ~(1 << j)
             lower[i] = strict & ~shadow
-            for j in _indices(lower[i]):
+            for j in iter_bits(lower[i]):
                 upper[j] |= 1 << i
-            heights[i] = max((heights[j] + 1 for j in _indices(lower[i])), default=0)
+            heights[i] = max((heights[j] + 1 for j in iter_bits(lower[i])), default=0)
         return _Order(down, up, lower, upper, heights)
 
     # -- structural predicates ------------------------------------------
@@ -131,10 +124,10 @@ class Lattice:
         return [i for i in range(len(self.subs)) if i != self.zero_index and i != self.full_index]
 
     def atom_indices(self) -> list[int]:
-        return list(_indices(self._order.upper[self.zero_index]))
+        return list(iter_bits(self._order.upper[self.zero_index]))
 
     def maximal_indices(self) -> list[int]:
-        return list(_indices(self._order.lower[self.full_index]))
+        return list(iter_bits(self._order.lower[self.full_index]))
 
     def is_simple(self, i: int) -> bool:
         return bool((self._order.upper[self.zero_index] >> i) & 1)
@@ -145,7 +138,7 @@ class Lattice:
     def simple_complement(self, i: int) -> int | None:
         """First atom S with S meet N_i = 0 and S join N_i = M, if any."""
         order = self._order
-        for a in _indices(order.upper[self.zero_index] & ~order.down[i]):
+        for a in iter_bits(order.upper[self.zero_index] & ~order.down[i]):
             if self.join_index(a, i) == self.full_index:
                 return a
         return None
@@ -185,14 +178,14 @@ class Lattice:
         if not (inside >> hi) & 1:
             raise StructureError("interval bounds are not nested")
         best = {lo: 0}
-        for k in _indices(inside & ~(1 << lo)):
-            best[k] = 1 + max(best[c] for c in _indices(order.lower[k] & inside))
+        for k in iter_bits(inside & ~(1 << lo)):
+            best[k] = 1 + max(best[c] for c in iter_bits(order.lower[k] & inside))
         return best[hi]
 
     def covers_in(self, lo: int, hi: int) -> list[int]:
         """Covers of lo inside [lo, hi]; A/lo for these A are the simple
         submodules of hi/lo."""
-        return list(_indices(self._order.upper[lo] & self._order.down[hi]))
+        return list(iter_bits(self._order.upper[lo] & self._order.down[hi]))
 
     # -- socle, length, Goldie dimension ---------------------------------
 

@@ -25,7 +25,7 @@ def iter_bits(mask: int):
 def _check_cap(n: int, caps: Caps | None) -> None:
     cap = (caps or Caps()).max_exact_vertices
     if n > cap:
-        raise CapExceeded(f"{n} vertices exceeds the exact-solver cap {cap}")
+        raise CapExceeded(f"{n} vertices exceeds the exact-solver cap max_exact_vertices={cap}")
 
 
 def _by_degree(n: int, adj: list[int]) -> list[int]:

@@ -52,49 +52,67 @@ _MODULE_FIELDS = {
 _CAP_FIELDS = {"max_ring_size", "max_module_size", "max_submodules", "max_exact_vertices"}
 
 
-def _check_fields(obj: dict, allowed: set[str], what: str) -> None:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_table(value, spec) -> bool:
+    size = len(spec["add"]) if isinstance(spec["add"], list) else 0
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(row, list) and len(row) == len(value[0]) and all(_is_int(x) and 0 <= x < size for x in row)
+        for row in value
+    )
+
+
+_POSITIVE = (lambda v, _: _is_int(v) and v >= 1, "a positive integer")
+_WORDS = (lambda v, _: isinstance(v, list) and all(isinstance(w, str) for w in v), "a list of strings")
+_TABLE = (_is_table, "a rectangular table of indices below len(add)")
+# field -> (test of its value within its spec, what the value must be)
+_VALUES = {
+    **dict.fromkeys(["p", "k", "n", "m", "subfield_degree"], _POSITIVE),
+    **dict.fromkeys(["relations", "variables"], _WORDS),
+    **dict.fromkeys(["add", "mul", "act"], _TABLE),
+    "kernel_gens": (lambda v, _: isinstance(v, list) and all(_is_int(g) and g >= 0 for g in v),
+                    "a list of element indices"),
+    **dict.fromkeys(_CAP_FIELDS, (lambda v, _: _is_int(v), "an integer")),
+}
+
+
+def _check_fields(obj: dict, allowed: set[str], what: str, required=frozenset()) -> None:
     if not isinstance(obj, dict):
         raise SpecError(f"{what} must be an object")
-    unknown = set(obj) - allowed
+    unknown = obj.keys() - allowed
     if unknown:
         raise SpecError(f"unknown fields {sorted(unknown)} in {what}")
+    missing = required - obj.keys()
+    if missing:
+        raise SpecError(f"missing fields {sorted(missing)} in {what}")
+    for key in sorted(obj.keys() & _VALUES.keys()):
+        test, must_be = _VALUES[key]
+        if not test(obj[key], obj):
+            raise SpecError(f"{key!r} in {what} must be {must_be}")
 
 
-def _validate_ring(spec) -> None:
+def _check_kind(spec, kinds: dict, what: str) -> None:
+    """Validate a ring or module spec and the specs nested in it, which are
+    of the same sort (the factors of a product, the module a quotient is of)."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise SpecError("ring spec needs a 'kind'")
+        raise SpecError(f"{what} spec needs a 'kind'")
     kind = spec["kind"]
-    if kind not in _RING_FIELDS:
-        raise SpecError(f"unknown ring kind {kind!r}")
-    _check_fields(spec, _RING_FIELDS[kind], f"ring kind {kind}")
-    if kind == "product":
-        _validate_ring(spec["left"])
-        _validate_ring(spec["right"])
-
-
-def _validate_module(spec) -> None:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise SpecError("module spec needs a 'kind'")
-    kind = spec["kind"]
-    if kind not in _MODULE_FIELDS:
-        raise SpecError(f"unknown module kind {kind!r}")
-    _check_fields(spec, _MODULE_FIELDS[kind], f"module kind {kind}")
-    if kind == "direct_sum":
-        _validate_module(spec["left"])
-        _validate_module(spec["right"])
-    if kind == "quotient":
-        _validate_module(spec["of"])
+    if not isinstance(kind, str) or kind not in kinds:
+        raise SpecError(f"unknown {what} kind {kind!r}")
+    _check_fields(spec, kinds[kind], f"{what} kind {kind}", kinds[kind] - {"variables"})
+    for key in sorted(spec.keys() & {"left", "right", "of"}):
+        _check_kind(spec[key], kinds, what)
 
 
 def normalize_spec(spec: dict) -> dict:
-    _check_fields(spec, {"version", "ring", "module", "caps"}, "instance spec")
+    _check_fields(spec, {"version", "ring", "module", "caps"}, "instance spec", {"ring", "module"})
     version = spec.get("version", SPEC_VERSION)
     if version != SPEC_VERSION:
         raise SpecError(f"unsupported spec version {version}")
-    if "ring" not in spec or "module" not in spec:
-        raise SpecError("instance spec needs 'ring' and 'module'")
-    _validate_ring(spec["ring"])
-    _validate_module(spec["module"])
+    _check_kind(spec["ring"], _RING_FIELDS, "ring")
+    _check_kind(spec["module"], _MODULE_FIELDS, "module")
     if "caps" in spec:
         _check_fields(spec["caps"], _CAP_FIELDS, "caps")
     out = {"version": SPEC_VERSION, "ring": spec["ring"], "module": spec["module"]}
@@ -126,20 +144,20 @@ def load_spec_file(path: str) -> dict:
 def build_ring(spec: dict, caps: Caps) -> FiniteRing:
     kind = spec["kind"]
     if kind == "gf":
-        return ring_from_field(gf_build(int(spec["p"]), int(spec["k"]), caps), caps)
+        return ring_from_field(gf_build(spec["p"], spec["k"], caps), caps)
     if kind == "zmod":
-        return ring_zmod(int(spec["n"]), caps)
+        return ring_zmod(spec["n"], caps)
     if kind == "matrix":
-        return ring_matrix(gf_build(int(spec["p"]), int(spec["k"]), caps), int(spec["m"]), caps)
+        return ring_matrix(gf_build(spec["p"], spec["k"], caps), spec["m"], caps)
     if kind == "triangular":
         return ring_triangular(
-            gf_build(int(spec["p"]), int(spec["k"]), caps), int(spec["subfield_degree"]), caps
+            gf_build(spec["p"], spec["k"], caps), spec["subfield_degree"], caps
         )
     if kind == "product":
         return ring_product(build_ring(spec["left"], caps), build_ring(spec["right"], caps), caps)
     if kind == "poly_quot":
         return ring_poly_quot(
-            int(spec["p"]), list(spec["relations"]), spec.get("variables"), caps
+            spec["p"], spec["relations"], spec.get("variables"), caps
         )
     if kind == "table":
         return ring_from_tables(spec["add"], spec["mul"], caps=caps)
@@ -156,7 +174,10 @@ def build_module(spec: dict, ring: FiniteRing, caps: Caps) -> FiniteModule:
         )
     if kind == "quotient":
         base = build_module(spec["of"], ring, caps)
-        kernel = submodule_generated(base, [int(g) for g in spec["kernel_gens"]])
+        outside = [g for g in spec["kernel_gens"] if g >= base.size]
+        if outside:
+            raise SpecError(f"kernel_gens {outside} lie outside the module of size {base.size}")
+        kernel = submodule_generated(base, spec["kernel_gens"])
         q, _ = quotient(base, kernel, caps)
         return q
     if kind == "custom":

@@ -272,3 +272,56 @@ def brute_longest_chain(subsets, lo, hi):
         return 1 + max(steps)
 
     return longest(lo)
+
+
+def _rows(table):
+    return [[int(v) for v in row] for row in table]
+
+
+def _abelian_group(add, n):
+    """0 is the identity of a commutative, associative + with inverses."""
+    els = range(n)
+    return (
+        all(add[0][x] == x and add[x][0] == x for x in els)
+        and all(add[x][y] == add[y][x] for x in els for y in els)
+        and all(0 in add[x] for x in els)
+        and all(add[add[x][y]][z] == add[x][add[y][z]] for x in els for y in els for z in els)
+    )
+
+
+def brute_is_ring(add, mul):
+    """Every unital ring axiom on element-indexed tables, by O(n^3) scans."""
+    add, mul = _rows(add), _rows(mul)
+    n = len(add)
+    els = range(n)
+    if n < 2 or any(len(t) != n or any(len(r) != n or not all(0 <= v < n for v in r) for r in t) for t in (add, mul)):
+        return False
+    return (
+        _abelian_group(add, n)
+        and all(mul[1][x] == x and mul[x][1] == x for x in els)
+        and all(
+            mul[mul[x][y]][z] == mul[x][mul[y][z]]
+            and mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]]
+            and mul[add[x][y]][z] == add[mul[x][z]][mul[y][z]]
+            for x in els for y in els for z in els
+        )
+    )
+
+
+def brute_is_module(add, act, radd, rmul):
+    """Every unital left-module axiom of (add, act) over the ring (radd, rmul),
+    by scans over all triples; the ring itself is assumed."""
+    add, act, radd, rmul = _rows(add), _rows(act), _rows(radd), _rows(rmul)
+    m, n = len(add), len(radd)
+    els, ring = range(m), range(n)
+    if any(len(r) != m or not all(0 <= v < m for v in r) for r in add + act) or len(act) != n:
+        return False
+    return (
+        _abelian_group(add, m)
+        and all(act[1][x] == x for x in els)
+        and all(act[r][add[x][y]] == add[act[r][x]][act[r][y]] for r in ring for x in els for y in els)
+        and all(
+            act[radd[r][s]][x] == add[act[r][x]][act[s][x]] and act[rmul[r][s]][x] == act[r][act[s][x]]
+            for r in ring for s in ring for x in els
+        )
+    )

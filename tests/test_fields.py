@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modgraph.caps import Caps
-from modgraph.errors import ConstructionError
+from modgraph.errors import CapExceeded, ConstructionError
 from modgraph.fields import gf_build, smallest_irreducible, subfield
 from modgraph.rings import ring_from_field
 
@@ -103,7 +103,7 @@ def test_composite_characteristic_rejected():
 
 
 def test_size_cap_enforced():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(CapExceeded, match="max_ring_size=16"):
         gf_build(2, 5, caps=Caps(max_ring_size=16))
 
 

@@ -4,6 +4,7 @@ import pytest
 from modgraph.caps import Caps
 from modgraph.errors import CapExceeded, ConstructionError
 from modgraph.fields import gf_build
+from modgraph.modules import direct_sum, regular_module
 from modgraph.rings import (
     parse_monomial,
     quotient_ring,
@@ -15,6 +16,7 @@ from modgraph.rings import (
     ring_triangular,
     ring_zmod,
 )
+from modgraph.solvers import max_clique
 
 
 def all_test_rings():
@@ -151,6 +153,29 @@ def test_size_cap():
         ring_matrix(gf_build(2, 3), 2, caps=Caps(max_ring_size=1024))
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda c: ring_zmod(9, caps=c), "max_ring_size=8"),
+        (lambda c: gf_build(2, 4, caps=c), "max_ring_size=8"),
+        (lambda c: ring_matrix(gf_build(2, 1), 2, caps=c), "max_ring_size=8"),
+        (lambda c: ring_triangular(gf_build(2, 2), 1, caps=c), "max_ring_size=8"),
+        (lambda c: ring_product(ring_zmod(3), ring_zmod(3), caps=c), "max_ring_size=8"),
+        (lambda c: ring_poly_quot(2, ["x^4"], ["x"], caps=c), "max_ring_size=8"),
+        (lambda c: ring_from_tables(ring_zmod(9).add, ring_zmod(9).mul, caps=c), "max_ring_size=8"),
+        (lambda c: regular_module(ring_zmod(9), caps=c), "max_module_size=8"),
+        (lambda c: direct_sum(*[regular_module(ring_zmod(3))] * 2, caps=c), "max_module_size=8"),
+        (lambda c: max_clique(9, [0] * 9, caps=c), "max_exact_vertices=8"),
+    ],
+    ids=["zmod", "gf", "matrix", "triangular", "product", "poly_quot", "table",
+         "module", "direct_sum", "solver"],
+)
+def test_every_cap_names_its_field(build, field):
+    caps = Caps(max_ring_size=8, max_module_size=8, max_exact_vertices=8)
+    with pytest.raises(CapExceeded, match=field):
+        build(caps)
+
+
 def test_zmod_cap_is_checked_before_any_table(monkeypatch):
     def no_tables(*args, **kwargs):
         raise AssertionError("a table was built before the cap check")
@@ -170,11 +195,12 @@ def test_table_ring_validation():
         ring_from_tables(z4.add.tolist(), bad_mul.tolist())
 
 
-def test_sampled_verification_catches_defects():
-    # above the exhaustive cap the checker samples; a broken table still trips
-    caps = Caps(verify_exhaustive=4, verify_samples=5000)
-    z12 = ring_zmod(12)
-    bad = z12.mul.copy()
-    bad[5, 7] = 0
-    with pytest.raises(ConstructionError):
-        ring_from_tables(z12.add.tolist(), bad.tolist(), caps=caps)
+def test_planted_defects_above_256_are_rejected():
+    # the law check is exact at every size; each of these tables passed the
+    # sampled check that carriers above 256 used to get
+    ring = ring_from_field(gf_build(2, 9))
+    for i, j, v in [(100, 200, 17), (2, 2, 9)]:
+        bad = ring.mul.copy()
+        bad[i, j] = v
+        with pytest.raises(ConstructionError, match="associativity/distributivity"):
+            ring_from_tables(ring.add, bad)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -86,8 +87,21 @@ def test_caps_env_parsing(monkeypatch):
     caps = caps_from_env()
     assert caps.max_ring_size == 99 and caps.max_exact_vertices == 7
     monkeypatch.setenv("MODGRAPH_CAPS", "bogus=1")
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError, match="'bogus'"):
         caps_from_env()
+    monkeypatch.setenv("MODGRAPH_CAPS", "max_ring_size=x")
+    with pytest.raises(SpecError, match="'max_ring_size'"):
+        caps_from_env()
+
+
+@pytest.mark.parametrize("value", ["bogus=1", "max_ring_size=x", "verify_samples=100"])
+def test_cli_bad_caps_env_exits_two_without_traceback(value):
+    env = {**os.environ, "MODGRAPH_CAPS": value}
+    proc = subprocess.run(
+        [sys.executable, "-m", "modgraph.cli", "zoo"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 @pytest.fixture()
@@ -154,6 +168,36 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 2
     assert main(["verify", "--family", "nonsense"]) == 2
     capsys.readouterr()
+
+
+BAD_SPECS = {
+    "product-without-right": {"kind": "product", "left": {"kind": "zmod", "n": 2}},
+    "zmod-n-not-int": {"kind": "zmod", "n": "x"},
+    "matrix-m-negative": {"kind": "matrix", "p": 2, "k": 1, "m": -1},
+    "triangular-degree-zero": {"kind": "triangular", "p": 2, "k": 2, "subfield_degree": 0},
+    "relations-not-list": {"kind": "poly_quot", "p": 2, "relations": 5},
+    "table-ragged": {"kind": "table", "add": [[0, 1], [1]], "mul": [[0, 0], [0, 1]]},
+    "table-entry-past-carrier": {"kind": "table", "add": [[0, 1], [1, 65536]], "mul": [[0, 0], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"version": 1, "ring": ring, "module": {"kind": "regular"}} for ring in BAD_SPECS.values()]
+    + [
+        {"version": 1, "ring": {"kind": "zmod", "n": 6},
+         "module": {"kind": "quotient", "of": {"kind": "regular"}, "kernel_gens": [99]}},
+        {"version": 1, "ring": {"kind": "zmod", "n": 6},
+         "module": {"kind": "quotient", "of": {"kind": "regular"}, "kernel_gens": [-1]}},
+        {**Z12_SPEC, "caps": {"max_ring_size": "x"}},
+    ],
+    ids=list(BAD_SPECS) + ["kernel-index-past-module", "kernel-index-negative", "cap-not-int"],
+)
+def test_cli_bad_spec_exits_two(spec, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["lattice", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_subprocess_byte_identical(spec_file):
