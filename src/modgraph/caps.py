@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from .errors import SpecError
+from .errors import CapExceeded, SpecError
 
 DEFAULT_MAX_RING_SIZE = 1024
 DEFAULT_MAX_SUBMODULES = 20_000
@@ -28,6 +28,24 @@ class Caps:
     def override(self, **kwargs) -> "Caps":
         known = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **known)
+
+
+def check_characteristic(p: int, cap: int) -> None:
+    """A ring of characteristic p has at least p elements: refuse p past the
+    cap before a primality test, whose cost grows as sqrt(p)."""
+    if p > cap:
+        raise CapExceeded(f"characteristic exceeds cap max_ring_size={cap}")
+
+
+def capped_power(base: int, exp: int, cap: int, what: str) -> int:
+    """base**exp for base >= 2, stopping once it passes max_ring_size=cap,
+    so no integer past cap * base is formed and the message stays short."""
+    size = 1
+    for _ in range(exp):
+        size *= base
+        if size > cap:
+            raise CapExceeded(f"{what} size >= {size} exceeds cap max_ring_size={cap}")
+    return size
 
 
 def caps_from_env(base: Caps | None = None) -> Caps:

@@ -28,14 +28,11 @@ from .graphs import (
 )
 from .lattice import (
     Lattice,
-    end_size,
     enumerate_submodules,
     find_double_simple_image,
     ideal_product,
-    iso_count_simples,
     prime_radical,
     section_hom_count,
-    simples_isomorphic,
 )
 from .modules import Submodule, regular_module
 from .rings import quotient_ring, ring_from_field
@@ -69,12 +66,6 @@ class CheckReport:
 # -- shared structural helpers -------------------------------------------------
 
 
-def _is_sum_of_two_simples(lat: Lattice) -> tuple[int, int] | None:
-    if lat.composition_length() != 2:
-        return None
-    return next(lat.direct_atom_pairs(lat.full_index), None)
-
-
 def _vertex_of(graph: IntersectionGraph, lat_index: int) -> int | None:
     try:
         return graph.lattice_pos.index(lat_index)
@@ -87,16 +78,15 @@ def _vertex_of(graph: IntersectionGraph, lat_index: int) -> int | None:
 
 def check_pair_count(ctx: InstanceContext) -> CheckReport:
     lat = ctx.lattice
-    pair = _is_sum_of_two_simples(lat)
-    if pair is None:
+    pair = lat.socle_pair
+    if pair is None or lat.socle_index() != lat.full_index:
         return CheckReport("C1-pair-count", ctx.instance_id, VACUOUS)
-    s1, s2 = (lat.subs[i] for i in pair)
-    iso = iso_count_simples(s1, s2)
+    iso = lat.hom_count(*pair) - 1
     alpha = ctx.graph.n
     details = {"iso_count": iso, "alpha": alpha}
     ok = alpha == iso + 2
     if iso > 0:
-        ends = end_size(s1)
+        ends = lat.hom_count(pair[0], pair[0])
         details["end_size"] = ends
         ok = ok and alpha == ends + 1
         # the whole-module endomorphism reading would give |End(S)|^4 + 1
@@ -120,14 +110,8 @@ def _star_structure(lat: Lattice) -> tuple[bool, int | None]:
         if lat.leq(a, b) or lat.leq(b, a):
             return True, 2
     soc = lat.socle_index()
-    pair = next(lat.direct_atom_pairs(soc), None)
-    if (
-        pair is not None
-        and lat.length_of(soc) == 2
-        and soc != lat.full_index
-        and lat.maximal_indices() == [soc]
-    ):
-        iso = iso_count_simples(lat.subs[pair[0]], lat.subs[pair[1]])
+    if lat.socle_pair is not None and soc != lat.full_index and lat.maximal_indices() == [soc]:
+        iso = lat.hom_count(*lat.socle_pair) - 1
         return True, iso + 3
     return False, None
 
@@ -259,7 +243,7 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
             return fail("no simple complement")
         s_sub = lat.subs[s_lat]
         # (1)(ii) complement degree counts the endomorphisms of S
-        ends = end_size(s_sub)
+        ends = lat.hom_count(s_lat, s_lat)
         item["end_size"] = ends
         if dtc != ends:
             return fail(f"deg_c={dtc} != |End(S)|={ends}")
@@ -268,8 +252,7 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
         if len(inner_atoms) != 1:
             return fail(f"{len(inner_atoms)} simple submodules inside T")
         sp_lat = inner_atoms[0]
-        sp_sub = lat.subs[sp_lat]
-        if not simples_isomorphic(sp_sub, s_sub):
+        if lat.hom_count(sp_lat, s_lat) < 2:
             return fail("inner simple not isomorphic to the complement")
         # (1)(iv) no quotient of T by a nontrivial submodule contains a copy of
         # S: the simples of T/N are A/N for the covers A of N inside [N, T]
@@ -484,14 +467,12 @@ def _module_trichotomy(ctx: InstanceContext) -> tuple[str | None, dict]:
     if lat.is_chain() and lat.composition_length() <= 3:
         return "chain", details
     soc = lat.socle_index()
-    if lat.length_of(soc) == 2:
-        pair = next(lat.direct_atom_pairs(soc), None)
-        if pair is not None:
-            details["pair_iso"] = iso_count_simples(lat.subs[pair[0]], lat.subs[pair[1]])
-            if soc == lat.full_index:
-                return "semisimple-pair", details
-            if lat.maximal_indices() == [soc]:
-                return "socle-maximal", details
+    if lat.socle_pair is not None:
+        details["pair_iso"] = lat.hom_count(*lat.socle_pair) - 1
+        if soc == lat.full_index:
+            return "semisimple-pair", details
+        if lat.maximal_indices() == [soc]:
+            return "socle-maximal", details
     return None, details
 
 
@@ -515,12 +496,10 @@ def _ring_trichotomy(ctx: InstanceContext) -> tuple[str | None, dict]:
     soc = lat.socle_index()
     if rad.size == 1 and soc == lat.full_index and lat.composition_length() == 2:
         atoms = lat.atom_indices()
-        iso = simples_isomorphic(lat.subs[atoms[0]], lat.subs[atoms[1]])
-        if all(
-            simples_isomorphic(lat.subs[atoms[0]], lat.subs[a]) == iso for a in atoms[1:]
-        ):
+        iso = lat.hom_count(atoms[0], atoms[1]) > 1
+        if all((lat.hom_count(atoms[0], a) > 1) == iso for a in atoms[1:]):
             if iso:
-                ends = end_size(lat.subs[atoms[0]])
+                ends = lat.hom_count(atoms[0], atoms[0])
                 details["end_size"] = ends
                 if ctx.graph.n == ends + 1:
                     return "semisimple-pair", details
@@ -593,10 +572,10 @@ def check_triangle_free(ctx: InstanceContext) -> CheckReport:
 def check_connectivity(ctx: InstanceContext) -> CheckReport:
     cid = "C10-connectivity"
     g, lat = ctx.graph, ctx.lattice
-    split = _is_sum_of_two_simples(lat)
+    split = lat.socle_pair is not None and lat.socle_index() == lat.full_index
     connected = g.is_connected()
-    details = {"connected": connected, "sum_of_two_simples": split is not None}
-    if connected != (split is None):
+    details = {"connected": connected, "sum_of_two_simples": split}
+    if connected == split:
         return CheckReport(cid, ctx.instance_id, FAIL, "connectivity criterion violated", details)
     if connected and g.n >= 2:
         diam = g.diameter()
@@ -627,10 +606,8 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
             "inner_simple_unique": len(inner) == 1,
         }
         if s_lat is not None and len(inner) == 1:
-            entry["inner_isomorphic_to_complement"] = simples_isomorphic(
-                lat.subs[inner[0]], lat.subs[s_lat]
-            )
-            entry["end_size"] = end_size(lat.subs[s_lat])
+            entry["inner_isomorphic_to_complement"] = lat.hom_count(inner[0], s_lat) > 1
+            entry["end_size"] = lat.hom_count(s_lat, s_lat)
             entry["alpha"] = g.n
         maximal.append(entry)
     details["small_degree_maximal"] = maximal
@@ -650,7 +627,7 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
         inner = lat.covers_in(lat.zero_index, n_idx)
         entry = {"N": lat.subs[n_idx].describe(), "deg": g.degree(v), "unique_simple": len(inner) == 1}
         if len(inner) == 1:
-            entry["end_size"] = end_size(lat.subs[inner[0]])
+            entry["end_size"] = lat.hom_count(inner[0], inner[0])
             # S <= N < M, so [S, M] has two ends
             entry["g_mod_simple"] = lat.interval_size(inner[0], lat.full_index) - 2
             entry["detached_section"] = _has_detached_section(lat, n_idx, inner[0])

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caps import Caps
-from .errors import CapExceeded, ConstructionError
+from .caps import Caps, capped_power, check_characteristic
+from .errors import ConstructionError
 
 Poly = tuple[int, ...]  # little-endian coefficients over Z/p, no trailing zeros
 
@@ -97,13 +97,12 @@ class FiniteField:
 
     def __init__(self, p: int, k: int, caps: Caps | None = None):
         caps = caps or Caps()
-        if not is_prime(p):
-            raise ConstructionError(f"characteristic {p} is not prime")
         if k < 1:
             raise ConstructionError(f"extension degree must be >= 1, got {k}")
-        size = p**k
-        if size > caps.max_ring_size:
-            raise CapExceeded(f"field size {size} exceeds cap max_ring_size={caps.max_ring_size}")
+        check_characteristic(p, caps.max_ring_size)
+        if not is_prime(p):
+            raise ConstructionError(f"characteristic {p} is not prime")
+        size = capped_power(p, k, caps.max_ring_size, "field")
         self.p = p
         self.k = k
         self.size = size

@@ -6,8 +6,10 @@ run on the adjacency bitsets a whole frontier at a time (one step ORs the
 masks of every frontier vertex), which gives connectivity and diameter;
 girth is 3 as soon as a triangle exists, and only triangle-free graphs get a
 per-vertex BFS.  Exact invariants delegate to the branch-and-bound
-solvers; the two structural coloring schemes never return an improper
-coloring, reporting an applicability failure instead.
+solvers; each graph solves omega, omega_c, chi and chi_c once, and chi and
+chi_c start from the omega and omega_c witnesses.  The two structural
+coloring schemes never return an improper coloring, reporting an
+applicability failure instead.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from dataclasses import dataclass, field
 
 from .caps import Caps
 from .errors import ConstructionError, StructureError
-from .lattice import Lattice, simples_isomorphic
+from .lattice import Lattice
 from .solvers import (
+    check_cap,
     chromatic_number,
     is_proper_coloring,
     iter_bits,
@@ -64,6 +67,7 @@ class IntersectionGraph:
                 if self.vertices[i].bits & self.vertices[j].bits != 1:
                     self.adj[i] |= 1 << j
                     self.adj[j] |= 1 << i
+        self._solved: dict[str, tuple] = {}
 
     # -- basic invariants --------------------------------------------------
 
@@ -83,21 +87,32 @@ class IntersectionGraph:
         full = (1 << self.n) - 1
         return [full & ~self.adj[v] & ~(1 << v) for v in range(self.n)]
 
+    def _solve_once(self, key: str, solve, caps: Caps | None):
+        if key not in self._solved:
+            self._solved[key] = solve()
+        check_cap(self.n, caps)  # a remembered answer still honours the caller's cap
+        return self._solved[key]
+
     def clique_number(self, caps: Caps | None = None) -> tuple[int, list[int]]:
-        return max_clique(self.n, self.adj, caps)
+        return self._solve_once("omega", lambda: max_clique(self.n, self.adj, caps), caps)
 
     def maximal_cliques(self, caps: Caps | None = None) -> list[list[int]]:
         return max_cliques(self.n, self.adj, caps)
 
     def chromatic(self, caps: Caps | None = None) -> tuple[int, Coloring]:
-        k, colors = chromatic_number(self.n, self.adj, caps)
-        return k, Coloring(tuple(colors), k, "exact")
+        return self._solve_once("chi", lambda: self._color(self.adj, self.clique_number(caps)[1], caps), caps)
 
     def complement_clique_number(self, caps: Caps | None = None) -> tuple[int, list[int]]:
-        return max_clique(self.n, self.complement_adj(), caps)
+        return self._solve_once("omega_c", lambda: max_clique(self.n, self.complement_adj(), caps), caps)
 
     def complement_chromatic(self, caps: Caps | None = None) -> tuple[int, Coloring]:
-        k, colors = chromatic_number(self.n, self.complement_adj(), caps)
+        def solve():
+            return self._color(self.complement_adj(), self.complement_clique_number(caps)[1], caps)
+
+        return self._solve_once("chi_c", solve, caps)
+
+    def _color(self, adj: list[int], clique: list[int], caps: Caps | None) -> tuple[int, Coloring]:
+        k, colors = chromatic_number(self.n, adj, clique, caps)
         return k, Coloring(tuple(colors), k, "exact")
 
     # -- walks -------------------------------------------------------------
@@ -262,14 +277,13 @@ def homogeneous_socle_pair(lattice: Lattice) -> dict | None:
 
     Returns {socle, pair} as lattice indices, or None when the structure is
     absent.  This is the shared hypothesis of the clique/coloring statements.
+    Two distinct atoms of a length-2 socle are a direct pair, and they are
+    its only atoms unless they are isomorphic, so the first pair decides.
     """
-    soc = lattice.socle_index()
-    if lattice.length_of(soc) != 2 or not lattice.is_essential(soc):
+    pair, soc = lattice.socle_pair, lattice.socle_index()
+    if pair is None or not lattice.is_essential(soc) or lattice.hom_count(*pair) < 2:
         return None
-    for a, b in lattice.direct_atom_pairs(soc):
-        if simples_isomorphic(lattice.subs[a], lattice.subs[b]):
-            return {"socle": soc, "pair": (a, b)}
-    return None
+    return {"socle": soc, "pair": pair}
 
 
 def color_by_overline(graph: IntersectionGraph) -> Coloring | ApplicabilityFailure:

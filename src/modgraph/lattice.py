@@ -14,15 +14,19 @@ read off it as intervals: by the correspondence theorem Lat(B/A) is the
 interval [A, B], so no quotient module is built and no lattice is enumerated
 again to answer them.
 
-Also here: socle, Goldie dimension, composition length, hom counts between
-simple sections via annihilators of coset representatives, the
-double-simple-image search, and the prime radical of a finite ring
-(= Jacobson radical, computed as the intersection of the maximal left ideals).
+The socle facts the checks share live here too: `socle_pair` and the atom
+hom counts `hom_count(a, b)`, each computed once per lattice from the atoms
+the order kernel already knows, so no atom is proved simple again.
+
+Also here: Goldie dimension, composition length, hom counts between simple
+sections via annihilators of coset representatives, the double-simple-image
+search, and the prime radical of a finite ring (= Jacobson radical, computed
+as the intersection of the maximal left ideals).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +78,7 @@ class Lattice:
         self._pos = {s.bits: i for i, s in enumerate(self.subs)}
         self.zero_index = self._pos[1]
         self.full_index = self._pos[(1 << module.size) - 1]
+        self._homs: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self.subs)
@@ -143,15 +148,6 @@ class Lattice:
                 return a
         return None
 
-    def direct_atom_pairs(self, target: int):
-        """Pairs of atoms joining to target, in canonical order; distinct
-        atoms meet in 0, so each pair is direct."""
-        atoms = self.covers_in(self.zero_index, target)
-        for k, a in enumerate(atoms):
-            for b in atoms[k + 1:]:
-                if self.join_index(a, b) == target:
-                    yield a, b
-
     # every nonzero submodule contains an atom, so essential means "contains
     # every atom" and uniform means "exactly one atom below"
 
@@ -190,13 +186,32 @@ class Lattice:
     # -- socle, length, Goldie dimension ---------------------------------
 
     def socle_index(self) -> int:
-        atoms = self.atom_indices()
-        if not atoms:
-            return self.zero_index
-        acc = atoms[0]
-        for a in atoms[1:]:
-            acc = self.join_index(acc, a)
-        return acc
+        """The join of every atom, computed once."""
+        return self._socle
+
+    @cached_property
+    def _socle(self) -> int:
+        return reduce(self.join_index, self.atom_indices(), self.zero_index)
+
+    @cached_property
+    def socle_pair(self) -> tuple[int, int] | None:
+        """The first two atoms when the socle has length 2, else None.  Such
+        a socle is the direct sum of any two distinct atoms."""
+        if self.length_of(self.socle_index()) != 2:
+            return None
+        return tuple(self.atom_indices()[:2])
+
+    def hom_count(self, a: int, b: int) -> int:
+        """#Hom(S_a, S_b) for atoms a and b.  Between simples it is |End(S_a)|
+        when they are isomorphic and 1 otherwise, so it is symmetric and is
+        solved once per unordered pair."""
+        if not (self.is_simple(a) and self.is_simple(b)):
+            raise StructureError("hom_count needs atom indices")
+        key = (min(a, b), max(a, b))
+        if key not in self._homs:
+            zero = self.subs[self.zero_index]
+            self._homs[key] = section_hom_count(self.subs[key[0]], zero, self.subs[key[1]], zero)
+        return self._homs[key]
 
     def chain_lengths(self) -> list[int]:
         """Longest-chain length from 0 up to each submodule."""

@@ -34,8 +34,8 @@ class FiniteModule:
             raise ConstructionError("module table shapes inconsistent")
         self.ring = ring
         self.size = m
-        self.add = frozen_table(add)
-        self.act = frozen_table(act)
+        self.add = frozen_table(add, m)
+        self.act = frozen_table(act, m)
         self.labels = labels
         self.meta = meta or {}
         self._verify()
@@ -45,9 +45,6 @@ class FiniteModule:
             # R_R: the module axioms are the ring axioms FiniteRing checked
             return
         m, add, act = self.size, self.add, self.act
-        for t in (add, act):
-            if t.min() < 0 or t.max() >= m:
-                raise ConstructionError("module table entry out of range")
         idx = np.arange(m, dtype=TABLE_DTYPE)
         if not np.array_equal(add[0], idx):
             raise ConstructionError("index 0 is not the module zero")

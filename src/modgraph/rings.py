@@ -14,17 +14,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caps import Caps
+from .caps import Caps, capped_power, check_characteristic
 from .errors import CapExceeded, ConstructionError
 from .fields import FiniteField, SubfieldEmbedding, is_prime, subfield
 
 TABLE_DTYPE = np.int16
 
 
-def frozen_table(table: np.ndarray) -> np.ndarray:
-    """`table` as a read-only C-contiguous TABLE_DTYPE array.  A read-only
-    array already in that form is shared; a writable one is copied, so the
-    caller's own array is never frozen."""
+def frozen_table(table: np.ndarray, bound: int) -> np.ndarray:
+    """`table` as a read-only C-contiguous TABLE_DTYPE array whose entries
+    lie in [0, bound), checked before the cast so that no entry wraps.  A
+    read-only array already in that form is shared; a writable one is
+    copied, so the caller's own array is never frozen."""
+    if table.size and (table.min() < 0 or table.max() >= bound):
+        raise ConstructionError("table entry out of range")
     out = np.ascontiguousarray(table, dtype=TABLE_DTYPE)
     if out.flags.writeable and np.may_share_memory(out, table):
         out = out.copy()
@@ -94,8 +97,8 @@ class FiniteRing:
         if add.shape != (n, n) or mul.shape != (n, n):
             raise ConstructionError("tables must be square and same size")
         self.size = n
-        self.add = frozen_table(add)
-        self.mul = frozen_table(mul)
+        self.add = frozen_table(add, n)
+        self.mul = frozen_table(mul, n)
         self.zero = 0
         self.one = 1
         self.backend_tag = backend_tag
@@ -109,9 +112,6 @@ class FiniteRing:
         n, add, mul = self.size, self.add, self.mul
         if n < 2:
             raise ConstructionError("a unital ring needs distinct 0 and 1")
-        for t in (add, mul):
-            if t.min() < 0 or t.max() >= n:
-                raise ConstructionError("table entry out of range")
         idx = np.arange(n, dtype=TABLE_DTYPE)
         if not (np.array_equal(add[0], idx) and np.array_equal(add[:, 0], idx)):
             raise ConstructionError("index 0 is not the additive identity")
@@ -178,9 +178,7 @@ def ring_from_field(field: FiniteField, caps: Caps | None = None) -> FiniteRing:
 def ring_matrix(field: FiniteField, m: int, caps: Caps | None = None) -> FiniteRing:
     caps = caps or Caps()
     q = field.size
-    n = q ** (m * m)
-    if n > caps.max_ring_size:
-        raise CapExceeded(f"matrix ring size {n} exceeds cap max_ring_size={caps.max_ring_size}")
+    n = capped_power(q, m * m, caps.max_ring_size, "matrix ring")
     fa, fm = field.add_table(), field.mul_table()
     # entries of element i, row-major: E[i, r, c]
     idx = np.arange(n)
@@ -302,6 +300,7 @@ def ring_poly_quot(
     reported as a closure failure.
     """
     caps = caps or Caps()
+    check_characteristic(p, caps.max_ring_size)
     if not is_prime(p):
         raise ConstructionError(f"coefficient characteristic {p} is not prime")
     if variables is None:
@@ -323,6 +322,8 @@ def ring_poly_quot(
             continue
         seen.add(mono)
         basis.append(mono)
+        if len(basis) > caps.max_ring_size.bit_length():
+            break  # p^len(basis) > cap already, which capped_power reports
         for v in range(nv):
             nxt = tuple(e + (1 if t == v else 0) for t, e in enumerate(mono))
             if nxt not in seen:
@@ -330,9 +331,7 @@ def ring_poly_quot(
     basis.sort(key=lambda mo: (sum(mo), mo))
     bpos = {mo: t for t, mo in enumerate(basis)}
     nb = len(basis)
-    n = p**nb
-    if n > caps.max_ring_size:
-        raise CapExceeded(f"quotient ring size {n} exceeds cap max_ring_size={caps.max_ring_size}")
+    n = capped_power(p, nb, caps.max_ring_size, "quotient ring")
     # product of basis monomials: basis position or -1 when it falls in the ideal
     prod = np.full((nb, nb), -1, dtype=np.int64)
     for s in range(nb):

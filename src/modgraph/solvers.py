@@ -4,8 +4,9 @@ Graphs are given as (n, adj) where adj[v] is an int bitmask of neighbours.
 All searches use fixed canonical orders, so witnesses are deterministic.
 The maximum-clique search first renumbers the vertices by degree, highest
 first with ties broken by index (the initial order of Tomita-Seki's MCQ),
-and maps its witness back to the caller's numbering, sorted.  The exact
-solvers refuse graphs above a vertex cap instead of silently approximating.
+and maps its witness back to the caller's numbering, sorted.  The chromatic
+number takes its lower bound, a clique, from the caller.  The exact solvers
+refuse graphs above a vertex cap instead of silently approximating.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def _check_cap(n: int, caps: Caps | None) -> None:
+def check_cap(n: int, caps: Caps | None) -> None:
     cap = (caps or Caps()).max_exact_vertices
     if n > cap:
         raise CapExceeded(f"{n} vertices exceeds the exact-solver cap max_exact_vertices={cap}")
@@ -36,7 +37,7 @@ def _by_degree(n: int, adj: list[int]) -> list[int]:
 def max_clique(n: int, adj: list[int], caps: Caps | None = None) -> tuple[int, list[int]]:
     """Maximum clique by branch and bound with a greedy coloring bound, on
     the degree-ordered renumbering of the graph."""
-    _check_cap(n, caps)
+    check_cap(n, caps)
     if n == 0:
         return 0, []
     orig = _by_degree(n, adj)  # vertex i of the search is vertex orig[i]
@@ -80,7 +81,7 @@ def max_clique(n: int, adj: list[int], caps: Caps | None = None) -> tuple[int, l
 
 def max_cliques(n: int, adj: list[int], caps: Caps | None = None) -> list[list[int]]:
     """All maximal cliques (Bron-Kerbosch with pivot), sorted canonically."""
-    _check_cap(n, caps)
+    check_cap(n, caps)
     out: list[list[int]] = []
 
     def bk(r: list[int], p: int, x: int) -> None:
@@ -138,17 +139,21 @@ def _colorable(n: int, adj: list[int], k: int) -> list[int] | None:
     return colors if place(0, 0) else None
 
 
-def chromatic_number(n: int, adj: list[int], caps: Caps | None = None) -> tuple[int, list[int]]:
+def chromatic_number(n: int, adj: list[int], clique: list[int], caps: Caps | None = None) -> tuple[int, list[int]]:
     """Exact chromatic number with a witness coloring.
 
-    Seeded with the clique lower bound and the greedy upper bound, then
-    k-colorability is decided for each k in between.  A greedy bound below
-    the clique bound can only come from an improper coloring and raises.
+    Seeded with the caller's clique (max_clique's witness skips every k below
+    omega) as lower bound and the greedy upper bound, then k-colorability is
+    decided for each k in between.  A list that is not a clique raises, and so
+    does a greedy bound below it, which only an improper coloring could give.
     """
-    _check_cap(n, caps)
+    check_cap(n, caps)
+    mask = sum(1 << v for v in set(clique) if 0 <= v < n)  # fewer bits: a repeat or a stray vertex
+    if mask.bit_count() != len(clique) or any((adj[v] | 1 << v) & mask != mask for v in clique):
+        raise ConstructionError("lower bound is not a clique of the graph")
     if n == 0:
         return 0, []
-    lower, _ = max_clique(n, adj, caps)
+    lower = len(clique)
     greedy = greedy_coloring(n, adj)
     upper = max(greedy) + 1
     if upper < lower:

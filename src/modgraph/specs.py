@@ -133,7 +133,7 @@ def load_spec_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or an integer past the digit limit
         raise SpecError(f"cannot read spec file {path}: {exc}") from exc
     return normalize_spec(raw)
 

@@ -325,3 +325,24 @@ def brute_is_module(add, act, radd, rmul):
             for r in ring for s in ring for x in els
         )
     )
+
+
+def brute_socle_pair(subsets):
+    """The first direct pair of atoms joining to the socle, when the socle
+    has composition length 2; None otherwise.  subsets is every submodule,
+    as member tuples in canonical order.  The socle is the least member
+    containing every atom; a join is the least member containing both."""
+    sets = [frozenset(s) for s in subsets]
+    zero = sets.index(min(sets, key=len))
+
+    def least_above(union):
+        return min((i for i, s in enumerate(sets) if union <= s), key=lambda i: len(sets[i]))
+
+    atoms = [i for i, a in enumerate(sets) if sets[zero] < a and not any(sets[zero] < c < a for c in sets)]
+    socle = least_above(frozenset().union(sets[zero], *(sets[i] for i in atoms)))
+    if brute_longest_chain(subsets, zero, socle) != 2:
+        return None
+    for a, b in combinations(atoms, 2):
+        if sets[a] & sets[b] == sets[zero] and least_above(sets[a] | sets[b]) == socle:
+            return a, b
+    return None

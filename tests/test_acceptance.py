@@ -178,7 +178,8 @@ def test_criterion_11_oracle_equivalence(all_contexts):
         g = ctx.graph
         if g.n <= 12:
             assert max_clique(g.n, g.adj)[0] == brute_max_clique(g.n, g.adj)[0], ctx.instance_id
-            assert chromatic_number(g.n, g.adj)[0] == brute_chromatic(g.n, g.adj), ctx.instance_id
+            chi, _ = chromatic_number(g.n, g.adj, max_clique(g.n, g.adj)[1])
+            assert chi == brute_chromatic(g.n, g.adj), ctx.instance_id
             graph_checked += 1
     gauss_ok = True
     for q in (2, 3):

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from modgraph import graphs, lattice
 from modgraph.checks import (
     ALL_CHECKS,
     APPLICABILITY_FAILED,
@@ -21,6 +23,7 @@ from modgraph.checks import (
     reports_to_jsonl,
     run_suite,
 )
+from modgraph.zoo import InstanceContext
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +179,38 @@ def test_vacuous_warning_fires(ctx_by_id):
     only_chain = [ctx_by_id["zmod(8)/regular"]]
     _, summary = run_suite(only_chain, ["C1-pair-count"])
     assert summary.warnings
+
+
+# sha256 of the bytes `verify --family named --jsonl` and `--family size:16
+# --jsonl` write; a change to either digest is a change to the check output
+JSONL_SHA256 = {
+    "named": "4d109ccb9f9662ded5aa2b2355e07afd294bd8b6f7349d8b2a7fa5131aa80335",
+    "size:16": "76f750e0e12f8aceef86154fb1afbb998ee3091b72b3ea89dba8608d1f54a31b",
+}
+
+
+def test_check_output_is_pinned(named_reports, family16_contexts):
+    jsonl = {
+        "named": reports_to_jsonl(named_reports[0]),
+        "size:16": reports_to_jsonl(run_suite(family16_contexts)[0]),
+    }
+    got = {family: hashlib.sha256(text.encode()).hexdigest() for family, text in jsonl.items()}
+    assert got == JSONL_SHA256
+
+
+def test_suite_reads_each_structural_fact_once(monkeypatch, named_contexts, family16_contexts):
+    # atoms come from the order kernel, so no check re-proves one simple;
+    # omega and omega_c are solved once per graph and chi/chi_c reuse them
+    def reproved(sub):
+        raise AssertionError("an atom was proved simple again")
+
+    monkeypatch.setattr(lattice, "_check_simple_sub", reproved)
+    solved = []
+    real_max_clique = graphs.max_clique
+    monkeypatch.setattr(graphs, "max_clique", lambda *args: solved.append(1) or real_max_clique(*args))
+    for ctx in [*named_contexts, *family16_contexts]:
+        fresh = InstanceContext(ctx.instance, ctx.caps)
+        solved.clear()
+        reports, summary = run_suite([fresh])
+        assert not summary.failed and len(reports) == len(ALL_CHECKS), ctx.instance_id
+        assert len(solved) <= 2, ctx.instance_id

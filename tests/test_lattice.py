@@ -8,6 +8,7 @@ from modgraph.lattice import (
     end_size,
     enumerate_submodules,
     find_double_simple_image,
+    hom_count_simples,
     is_simple_module,
     iso_count_simples,
     prime_radical,
@@ -27,6 +28,7 @@ from .oracles import (
     abelian_p_group_subgroup_count,
     brute_endomorphism_count,
     brute_goldie,
+    brute_socle_pair,
     brute_submodules_grow,
     brute_submodules_subsets,
     naive_closure,
@@ -239,6 +241,38 @@ def test_endomorphism_count_against_full_map_check(named_contexts):
             assert iso_count_simples(sub, sub) == end_size(sub) - 1
             seen += 1
     assert seen > 10
+
+
+def test_hom_count_matches_the_validated_free_function(named_contexts, family16_contexts):
+    # Lattice.hom_count trusts the order kernel's atoms; hom_count_simples
+    # re-proves simplicity and is the reference on every ordered atom pair
+    pairs = 0
+    for ctx in [*named_contexts, *family16_contexts]:
+        lat = ctx.lattice
+        atoms = lat.atom_indices()
+        for a in atoms:
+            for b in atoms:
+                assert lat.hom_count(a, b) == hom_count_simples(lat.subs[a], lat.subs[b]), ctx.instance_id
+                pairs += 1
+            if lat.subs[a].size <= 9:
+                assert lat.hom_count(a, a) == brute_endomorphism_count(lat.subs[a]), ctx.instance_id
+        for i in (lat.zero_index, lat.full_index):
+            if not lat.is_simple(i):
+                with pytest.raises(StructureError, match="atom"):
+                    lat.hom_count(i, atoms[0])
+                with pytest.raises(StructureError, match="atom"):
+                    lat.hom_count(atoms[0], i)
+    assert pairs > 500
+
+
+def test_socle_pair_matches_oracle(named_contexts, family16_contexts):
+    pairs = 0
+    for ctx in [*named_contexts, *family16_contexts]:
+        lat = ctx.lattice
+        want = brute_socle_pair([s.members for s in lat.subs])
+        assert lat.socle_pair == want, ctx.instance_id
+        pairs += want is not None
+    assert pairs >= 10
 
 
 def test_pair_of_simples_vertex_counts():

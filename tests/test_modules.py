@@ -9,6 +9,7 @@ from modgraph.modules import (
     FiniteModule,
     Submodule,
     close_subset,
+    custom_module,
     cyclic_members,
     direct_sum,
     quotient,
@@ -102,6 +103,13 @@ def test_module_axiom_verification_rejects_bad_action():
 
     with pytest.raises(ConstructionError):
         FiniteModule(z4, reg.add, bad_act)
+
+
+def test_action_entries_are_range_checked_before_the_int16_cast():
+    # 65537 would wrap to 1, the correct Z/2 action of 1 on 1
+    z2 = ring_zmod(2)
+    with pytest.raises(ConstructionError, match="table entry out of range"):
+        custom_module(z2, [[0, 1], [1, 0]], [[0, 0], [0, 65537]])
 
 
 def test_regular_module_tables_pass_the_full_module_check(named_contexts, family16_contexts):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modgraph import fields, rings
 from modgraph.caps import Caps
 from modgraph.errors import CapExceeded, ConstructionError
 from modgraph.fields import gf_build
@@ -193,6 +194,27 @@ def test_table_ring_validation():
     bad_mul[2, 3] = 1  # breaks distributivity
     with pytest.raises(ConstructionError):
         ring_from_tables(z4.add.tolist(), bad_mul.tolist())
+
+
+def test_table_entries_are_range_checked_before_the_int16_cast():
+    # 65536 would wrap to 0, the correct Z/2 sum 1 + 1
+    with pytest.raises(ConstructionError, match="table entry out of range"):
+        ring_from_tables([[0, 1], [1, 65536]], [[0, 0], [0, 1]])
+
+
+def test_huge_characteristic_is_refused_before_any_primality_test(monkeypatch):
+    # a ring of characteristic p has at least p elements; trial division on
+    # this p would cost ~sqrt(p) steps before the cap could refuse it
+    def no_primality_test(p):
+        raise AssertionError("is_prime ran before the cap check")
+
+    monkeypatch.setattr(fields, "is_prime", no_primality_test)
+    monkeypatch.setattr(rings, "is_prime", no_primality_test)
+    p = 10000000000037
+    with pytest.raises(CapExceeded, match="max_ring_size=1024"):
+        gf_build(p, 1)
+    with pytest.raises(CapExceeded, match="max_ring_size=1024"):
+        ring_poly_quot(p, ["x^2"], ["x"])
 
 
 def test_planted_defects_above_256_are_rejected():

@@ -55,7 +55,7 @@ def test_known_graphs(name, n, adj, omega, chi):
     got_omega, witness = max_clique(n, adj)
     assert got_omega == omega
     assert all((adj[u] >> v) & 1 for i, u in enumerate(witness) for v in witness[i + 1:])
-    got_chi, colors = chromatic_number(n, adj)
+    got_chi, colors = chromatic_number(n, adj, witness)
     assert got_chi == chi
     assert is_proper_coloring(n, adj, colors)
     assert len(set(colors)) == chi
@@ -81,7 +81,7 @@ def test_solvers_match_brute_force(g):
     assert omega == brute_max_clique(n, adj)[0]
     assert len(witness) == omega
     assert all((adj[u] >> v) & 1 for i, u in enumerate(witness) for v in witness[i + 1:])
-    chi, colors = chromatic_number(n, adj)
+    chi, colors = chromatic_number(n, adj, witness)
     assert chi == brute_chromatic(n, adj)
     assert is_proper_coloring(n, adj, colors)
     assert sorted(max_cliques(n, adj)) == brute_maximal_cliques(n, adj)
@@ -116,7 +116,7 @@ def test_omega_never_exceeds_chi():
     for _, n, adj, _, _ in KNOWN:
         if n == 0:
             continue
-        assert max_clique(n, adj)[0] <= chromatic_number(n, adj)[0]
+        assert max_clique(n, adj)[0] <= chromatic_number(n, adj, max_clique(n, adj)[1])[0]
 
 
 def test_vertex_cap_enforced():
@@ -130,11 +130,26 @@ def test_improper_greedy_coloring_is_caught(monkeypatch):
     # a coloring with fewer colors than the clique number must be improper
     monkeypatch.setattr(solvers, "greedy_coloring", lambda n, adj: [0] * n)
     with pytest.raises(ConstructionError, match="omega > chi"):
-        chromatic_number(4, complete(4))
+        chromatic_number(4, complete(4), max_clique(4, complete(4))[1])
 
 
 def test_deterministic_witnesses():
     n, adj = 6, complete(6)
     assert max_clique(n, adj) == max_clique(n, adj)
-    assert chromatic_number(n, adj) == chromatic_number(n, adj)
+    clique = max_clique(n, adj)[1]
+    assert chromatic_number(n, adj, clique) == chromatic_number(n, adj, clique)
     assert max_cliques(5, cycle(5)) == max_cliques(5, cycle(5))
+
+
+def test_chromatic_number_takes_its_lower_bound_from_the_caller(monkeypatch):
+    def solved_again(*args):
+        raise AssertionError("chromatic_number solved omega itself")
+
+    monkeypatch.setattr(solvers, "max_clique", solved_again)
+    # any clique is a valid lower bound; the answer stays exact
+    for clique in ([0, 1], [3], []):
+        chi, colors = chromatic_number(5, cycle(5), clique)
+        assert chi == 3 and is_proper_coloring(5, cycle(5), colors)
+    for not_a_clique in ([0, 2], [1, 1], [0, 5], [-1]):
+        with pytest.raises(ConstructionError, match="not a clique"):
+            chromatic_number(5, cycle(5), not_a_clique)

@@ -200,6 +200,34 @@ def test_cli_bad_spec_exits_two(spec, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+OVERSIZED_RINGS = {
+    "matrix-m-300": {"kind": "matrix", "p": 2, "k": 1, "m": 300},
+    "poly-quot-x-20000": {"kind": "poly_quot", "p": 2, "relations": ["x^20000"], "variables": ["x"]},
+    "gf-k-20000": {"kind": "gf", "p": 2, "k": 20000},
+}
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [(json.dumps({"version": 1, "ring": ring, "module": {"kind": "regular"}}), 3)
+     for ring in OVERSIZED_RINGS.values()]
+    + [('{"version": 1, "ring": {"kind": "zmod", "n": ' + "9" * 5000 + '}, "module": {"kind": "regular"}}', 2)],
+    ids=list(OVERSIZED_RINGS) + ["integer-with-5000-digits"],
+)
+def test_cli_oversized_spec_exits_without_traceback(text, code, tmp_path):
+    # each of these sizes has more digits than Python will turn into a string
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "modgraph.cli", "lattice", str(path)], capture_output=True, text=True
+    )
+    assert proc.returncode == code
+    assert proc.stderr.startswith("cap exceeded:" if code == 3 else "error:")
+    assert "Traceback" not in proc.stderr
+    if code == 3:
+        assert "max_ring_size=1024" in proc.stderr and len(proc.stderr) < 200
+
+
 def test_cli_subprocess_byte_identical(spec_file):
     """End-to-end determinism through a fresh interpreter each run."""
     runs = [
