@@ -196,7 +196,7 @@ def check_length_additivity(ctx: InstanceContext) -> CheckReport:
         if total != l_n + l_q:
             return CheckReport(
                 cid, ctx.instance_id, FAIL,
-                f"l(M)={total} != {l_n}+{l_q} at N={lat.subs[i].describe()}",
+                f"l(M)={total} != {l_n}+{l_q} at N={lat.describe(i)}",
             )
     return CheckReport(cid, ctx.instance_id, PASS, None, {"length": total})
 
@@ -235,7 +235,7 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
         details[g.vertex_label(v)] = item
 
         def fail(msg: str) -> CheckReport:
-            return CheckReport(cid, ctx.instance_id, FAIL, f"T={t_sub.describe()}: {msg}", details)
+            return CheckReport(cid, ctx.instance_id, FAIL, f"T={lat.describe(t_lat)}: {msg}", details)
 
         # (1)(i) a simple complement S
         s_lat = lat.simple_complement(t_lat)
@@ -263,7 +263,7 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
             n_sub = lat.subs[n_idx]
             if any(section_hom_count(lat.subs[a], n_sub, s_sub, zero) > 1
                    for a in lat.covers_in(n_idx, t_lat)):
-                return fail(f"T/{n_sub.describe()} contains a copy of S")
+                return fail(f"T/{lat.describe(n_idx)} contains a copy of S")
         # (2)(i) socle is the direct pair, essential
         soc = lat.socle_index()
         if lat.join_index(sp_lat, s_lat) != soc or not lat.is_essential(soc):
@@ -275,7 +275,7 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
                 continue
             mt = lat.meet_index(i, g.lattice_pos[v])
             if lat.join_index(mt, s_lat) != i:
-                return fail(f"N={lat.subs[i].describe()} neither inside T nor (N&T)+S")
+                return fail(f"N={lat.describe(i)} neither inside T nor (N&T)+S")
         # (2)(iii) recorded under both counting conventions; |G(X/Y)| is
         # |[Y, X]| - 2 (here and below Y < X, so the interval has two ends)
         g_mod_sp = lat.interval_size(sp_lat, lat.full_index) - 2
@@ -597,11 +597,10 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
         v = _vertex_of(g, li)
         if v is None or g.degree(v) >= g.complement_degree(v):
             continue
-        t_sub = lat.subs[li]
         s_lat = lat.simple_complement(li)
         inner = lat.covers_in(lat.zero_index, li)
         entry = {
-            "T": t_sub.describe(),
+            "T": lat.describe(li),
             "splits_off_simple": s_lat is not None,
             "inner_simple_unique": len(inner) == 1,
         }
@@ -616,7 +615,7 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
         None
         if witness is None
         else {
-            "kernel": witness["kernel"].describe(),
+            "kernel": lat.describe(lat.position(witness["kernel"])),
             "kernel_size": witness["kernel"].size,
             "quotient_size": ctx.module.size // witness["kernel"].size,
         }
@@ -625,7 +624,7 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
     for v in range(g.n):
         n_idx = g.lattice_pos[v]
         inner = lat.covers_in(lat.zero_index, n_idx)
-        entry = {"N": lat.subs[n_idx].describe(), "deg": g.degree(v), "unique_simple": len(inner) == 1}
+        entry = {"N": lat.describe(n_idx), "deg": g.degree(v), "unique_simple": len(inner) == 1}
         if len(inner) == 1:
             entry["end_size"] = lat.hom_count(inner[0], inner[0])
             # S <= N < M, so [S, M] has two ends

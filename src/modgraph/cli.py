@@ -50,7 +50,7 @@ def cmd_lattice(args) -> int:
     lat = ctx.lattice
     out = [f"# {ctx.instance_id}: {len(lat)} submodules"]
     for i, sub in enumerate(lat.subs):
-        out.append(f"{i}: size={sub.size} gens={sub.describe()}")
+        out.append(f"{i}: size={sub.size} gens={lat.describe(i)}")
     print("\n".join(out))
     return EXIT_OK
 
@@ -70,7 +70,7 @@ def cmd_invariants(args) -> int:
     chi, _ = g.chromatic(caps)
     omega_c, _ = g.complement_clique_number(caps)
     chi_c, _ = g.complement_chromatic(caps)
-    soc = lat.subs[lat.socle_index()]
+    soc = lat.socle_index()
     goldie, _ = lat.goldie_dimension()
     girth, diameter = g.girth(), g.diameter()
     payload = {
@@ -85,7 +85,7 @@ def cmd_invariants(args) -> int:
         "diameter": "inf" if diameter == INF else int(diameter),
         "connected": g.is_connected(),
         "shape": g.classify_shape().tag,
-        "socle": {"size": soc.size, "generators": [lat.module.label(x) for x in soc.gens]},
+        "socle": {"size": lat.subs[soc].size, "generators": [lat.module.label(x) for x in lat.gens(soc)]},
         "goldie_dimension": goldie,
         "length": lat.composition_length(),
     }

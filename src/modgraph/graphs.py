@@ -1,15 +1,22 @@
 """Intersection graphs of submodule lattices.
 
 Vertices are the nontrivial submodules in canonical lattice order; two
-vertices are adjacent exactly when their intersection is nonzero.  Walks
-run on the adjacency bitsets a whole frontier at a time (one step ORs the
-masks of every frontier vertex), which gives connectivity and diameter;
-girth is 3 as soon as a triangle exists, and only triangle-free graphs get a
-per-vertex BFS.  Exact invariants delegate to the branch-and-bound
-solvers; each graph solves omega, omega_c, chi and chi_c once, and chi and
-chi_c start from the omega and omega_c witnesses.  The two structural
-coloring schemes never return an improper coloring, reporting an
-applicability failure instead.
+vertices are adjacent exactly when their intersection is nonzero, that is,
+when they share a nonzero element.  So the adjacency is built by element
+incidence: one pass over the members records, for each element, the bitset
+of vertices holding it, and a vertex's row is the OR of those bitsets over
+its nonzero elements, sum |N_i| ORs in all instead of a test per vertex
+pair.  Walks run on the adjacency bitsets a whole frontier at a time (one
+step ORs the masks of every frontier vertex), which gives connectivity.
+The diameter first tests "diameter <= 2" directly: for each vertex, OR the
+rows of its neighbours, highest degree first, until every vertex is
+reached; only when some vertex falls short (diameter >= 3, a disconnected
+graph, or n <= 1) does it take the largest eccentricity.  Girth is 3 as
+soon as a triangle exists, and only triangle-free graphs get a per-vertex
+BFS.  Exact invariants delegate to the branch-and-bound solvers; each graph
+solves omega, omega_c, chi and chi_c once, and chi and chi_c start from the
+omega and omega_c witnesses.  The two structural coloring schemes never
+return an improper coloring, reporting an applicability failure instead.
 """
 
 from __future__ import annotations
@@ -17,11 +24,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .caps import Caps
 from .errors import ConstructionError, StructureError
 from .lattice import Lattice
 from .solvers import (
+    by_degree,
     check_cap,
     chromatic_number,
     is_proper_coloring,
@@ -61,12 +71,17 @@ class IntersectionGraph:
         self.lattice_pos = tuple(lattice.nontrivial_indices())
         self.vertices = tuple(lattice.subs[i] for i in self.lattice_pos)
         self.n = len(self.vertices)
-        self.adj = [0] * self.n
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.vertices[i].bits & self.vertices[j].bits != 1:
-                    self.adj[i] |= 1 << j
-                    self.adj[j] |= 1 << i
+        # holders[x]: the vertices containing element x, none for x = 0
+        holders = [0] * self.module.size
+        for i, sub in enumerate(self.vertices):
+            bit = 1 << i
+            for x in sub.members:
+                holders[x] |= bit
+        holders[0] = 0
+        self.adj = [
+            reduce(or_, map(holders.__getitem__, sub.members)) & ~(1 << i)
+            for i, sub in enumerate(self.vertices)
+        ]
         self._solved: dict[str, tuple] = {}
 
     # -- basic invariants --------------------------------------------------
@@ -135,7 +150,28 @@ class IntersectionGraph:
         return self.n <= 1 or self._eccentricity(0) != INF
 
     def diameter(self) -> float:
-        return max(map(self._eccentricity, range(self.n)), default=0)
+        """Largest distance, or INF when disconnected.  First test whether
+        the neighbours of each vertex reach every vertex (diameter <= 2);
+        only when that fails take the largest eccentricity."""
+        n, adj = self.n, self.adj
+        full = (1 << n) - 1
+        order = by_degree(n, adj)
+        if n > 1 and all(self._reaches_all_in_two(v, order) for v in range(n)):
+            return 1 if all(adj[v] | 1 << v == full for v in range(n)) else 2
+        return max(map(self._eccentricity, range(n)), default=0)
+
+    def _reaches_all_in_two(self, v: int, order: list[int]) -> bool:
+        """Is every vertex within distance 2 of v?  ORs the neighbours'
+        rows in the given order, highest degree first so that the widest
+        rows come first, and stops once every vertex is reached."""
+        adj, full = self.adj, (1 << self.n) - 1
+        near, reach = adj[v], adj[v] | 1 << v
+        for u in order:
+            if reach == full:
+                return True
+            if near >> u & 1:
+                reach |= adj[u]
+        return reach == full
 
     def girth(self) -> float:
         """Shortest cycle length: 3 when there is a triangle, else the
@@ -223,7 +259,7 @@ class IntersectionGraph:
         return [u for u in range(self.n) if self.vertices[u].bits & nb == nb]
 
     def vertex_label(self, v: int) -> str:
-        return self.vertices[v].describe()
+        return self.lattice.describe(self.lattice_pos[v])
 
     # -- export ----------------------------------------------------------------
 
@@ -231,8 +267,7 @@ class IntersectionGraph:
         if fmt == "dot":
             lines = ["graph intersection {"]
             for v in range(self.n):
-                sub = self.vertices[v]
-                lines.append(f'  v{v} [label="v{v} {sub.describe()} size={sub.size}"];')
+                lines.append(f'  v{v} [label="v{v} {self.vertex_label(v)} size={self.vertices[v].size}"];')
             for i, j in self.edges():
                 lines.append(f"  v{i} -- v{j};")
             lines.append("}")
@@ -243,7 +278,7 @@ class IntersectionGraph:
                 "vertices": [
                     {
                         "id": f"v{v}",
-                        "generators": [self.module.label(g) for g in self.vertices[v].gens],
+                        "generators": [self.module.label(g) for g in self.lattice.gens(self.lattice_pos[v])],
                         "size": self.vertices[v].size,
                     }
                     for v in range(self.n)

@@ -14,6 +14,12 @@ read off it as intervals: by the correspondence theorem Lat(B/A) is the
 interval [A, B], so no quotient module is built and no lattice is enumerated
 again to answer them.
 
+Generators are a lattice fact too: `gens(i)` is the greedy generator list
+of member i (each generator the smallest element not yet generated), found
+by joining cyclic members Rx, each the first member in canonical order
+containing x, and cached per lattice; `describe(i)` labels a member by it.
+No member is closed again to find them.
+
 The socle facts the checks share live here too: `socle_pair` and the atom
 hom counts `hom_count(a, b)`, each computed once per lattice from the atoms
 the order kernel already knows, so no atom is proved simple again.
@@ -79,6 +85,7 @@ class Lattice:
         self.zero_index = self._pos[1]
         self.full_index = self._pos[(1 << module.size) - 1]
         self._homs: dict[tuple[int, int], int] = {}
+        self._gens: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.subs)
@@ -94,11 +101,43 @@ class Lattice:
         return self._pos[self.subs[i].bits & self.subs[j].bits]
 
     def join_index(self, i: int, j: int) -> int:
-        a, b = self.subs[i], self.subs[j]
-        got = self._pos.get(a.bits | b.bits)
+        """The union of the two members when it is one, else the first
+        common upper bound in canonical order: every upper bound contains
+        the join, so none is smaller."""
+        got = self._pos.get(self.subs[i].bits | self.subs[j].bits)
         if got is not None:
             return got
-        return self._pos[_sums(self.module, np.array(a.members), [np.array(b.members)])[0][0]]
+        common = self._order.up[i] & self._order.up[j]
+        return (common & -common).bit_length() - 1
+
+    @cached_property
+    def _cyclic(self) -> list[int]:
+        """_cyclic[x] is the index of Rx: the first member in canonical
+        order containing x, since every member containing x contains Rx."""
+        cyclic = [0] * self.module.size
+        seen = 0
+        for i, s in enumerate(self.subs):
+            for x in iter_bits(s.bits & ~seen):
+                cyclic[x] = i
+            seen |= s.bits
+        return cyclic
+
+    def gens(self, i: int) -> tuple[int, ...]:
+        """Greedy generators of member i: each is the smallest member
+        element outside the span of the earlier ones."""
+        if i not in self._gens:
+            gens, span = [], self.zero_index
+            for x in self.subs[i].members:
+                if not self.subs[span].bits >> x & 1:
+                    gens.append(x)
+                    span = self.join_index(span, self._cyclic[x])
+            self._gens[i] = tuple(gens)
+        return self._gens[i]
+
+    def describe(self, i: int) -> str:
+        """Member i by its generators' labels, such as <2,3>, or <0>."""
+        gens = ",".join(self.module.label(g) for g in self.gens(i))
+        return f"<{gens}>" if gens else "<0>"
 
     @cached_property
     def _order(self) -> _Order:

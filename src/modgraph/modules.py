@@ -2,9 +2,10 @@
 
 A module is a carrier 0..m-1 with an addition table and an action table
 act[r, x]; index 0 is the module zero.  Submodules are stored as bitsets
-over the carrier (Python ints) together with the sorted member tuple and a
-greedily chosen generator list, so identity, meets and containment are
-cheap bit operations.
+over the carrier (Python ints) together with the sorted member tuple, so
+identity, meets and containment are cheap bit operations.  Generators are a
+fact of the lattice a submodule sits in (`Lattice.gens`), not of the
+submodule alone.
 """
 
 from __future__ import annotations
@@ -75,13 +76,12 @@ def bits_of(members) -> int:
 class Submodule:
     """A submodule of a fixed ambient module, identified by its bitset."""
 
-    __slots__ = ("module", "bits", "members", "_gens")
+    __slots__ = ("module", "bits", "members")
 
     def __init__(self, module: FiniteModule, members):
         self.module = module
         self.members = tuple(int(x) for x in members)
         self.bits = bits_of(self.members)
-        self._gens = None
 
     @property
     def size(self) -> int:
@@ -91,25 +91,8 @@ class Submodule:
     def key(self) -> tuple:
         return (len(self.members), self.members)
 
-    @property
-    def gens(self) -> tuple[int, ...]:
-        """Greedy minimal generator list: smallest element not yet generated."""
-        if self._gens is None:
-            gens: list[int] = []
-            have = 1  # bitset {0}
-            for x in self.members:
-                if not (have >> x) & 1:
-                    gens.append(x)
-                    have = bits_of(close_subset(self.module, gens))
-            self._gens = tuple(gens)
-        return self._gens
-
     def contains(self, other: "Submodule") -> bool:
         return other.bits & self.bits == other.bits
-
-    def describe(self) -> str:
-        gens = ",".join(self.module.label(g) for g in self.gens)
-        return f"<{gens}>" if gens else "<0>"
 
     def __eq__(self, other):
         return isinstance(other, Submodule) and self.module is other.module and self.bits == other.bits
@@ -118,7 +101,7 @@ class Submodule:
         return hash(self.bits)
 
     def __repr__(self):
-        return f"Submodule(size={self.size}, gens={list(self.gens)})"
+        return f"Submodule(size={self.size}, members={list(self.members)})"
 
 
 def close_subset(module: FiniteModule, seed) -> np.ndarray:

@@ -346,3 +346,29 @@ def brute_socle_pair(subsets):
         if sets[a] & sets[b] == sets[zero] and least_above(sets[a] | sets[b]) == socle:
             return a, b
     return None
+
+
+def brute_greedy_generators(module, members):
+    """Greedy generator list of the submodule with these members: each
+    generator is the smallest member outside the closure of the earlier ones,
+    which is recomputed from scratch after every pick."""
+    gens = []
+    span = naive_closure(module, [])
+    for x in sorted(int(m) for m in members):
+        if x not in span:
+            gens.append(x)
+            span = naive_closure(module, gens)
+    return tuple(gens)
+
+
+def brute_adjacency(vertices):
+    """Adjacency bitsets of the intersection graph on the given member
+    tuples, by testing every ordered pair: i and j are adjacent when they
+    share an element other than 0."""
+    sets = [frozenset(v) - {0} for v in vertices]
+    adj = [0] * len(sets)
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            if i != j and a & b:
+                adj[i] |= 1 << j
+    return adj

@@ -22,8 +22,9 @@ from modgraph.modules import direct_sum, regular_module
 from modgraph.rings import ring_from_field, ring_zmod
 from modgraph.solvers import is_proper_coloring
 
-from .oracles import brute_distances, brute_girth
-from .test_solvers import PETERSEN, cycle, graph_from_edges
+from .oracles import brute_adjacency, brute_distances, brute_girth
+from .test_lattice import vector_space, zmod_sum
+from .test_solvers import PETERSEN, complete, cycle, graph_from_edges
 
 INF = math.inf
 
@@ -146,7 +147,10 @@ def test_walks_match_distance_oracle_on_zoo_and_census(named_contexts, family16_
 @example((0, []))
 @example((1, [0]))
 @example((2, [0, 0]))
-@example((4, graph_from_edges(4, [(0, 1), (2, 3)])))
+@example((4, graph_from_edges(4, [(0, 1), (2, 3)])))  # two components
+@example((4, graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])))  # P4, diameter 3
+@example((5, graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])))  # P5, diameter 4
+@example((4, complete(4)))  # K4, diameter 1
 @settings(max_examples=150, deadline=None)
 def test_walks_match_oracles_on_random_graphs(graph):
     n, adj = graph
@@ -181,6 +185,23 @@ def test_f2_fourth_power_closed_forms():
     # distinct lines meet trivially
     assert g.complement_clique_number(caps)[0] == (q**4 - 1) // (q - 1) == 15
     assert g.diameter() == 2 and g.girth() == 3 and g.is_connected()
+
+
+def test_adjacency_matches_pairwise_oracle(named_contexts, family16_contexts):
+    graphs = [ctx.graph for ctx in [*named_contexts, *family16_contexts]]
+    graphs += [graph_of(m) for m in (vector_space(2, 1, 4), zmod_sum(4, [4, 4, 4]), vector_space(3, 1, 4))]
+    assert [g.n for g in graphs[-3:]] == [65, 127, 210]
+    for g in graphs:
+        assert g.adj == brute_adjacency([sub.members for sub in g.vertices])
+
+
+def test_diameter_two_needs_no_eccentricity(monkeypatch):
+    def eccentricity(self, start):
+        raise AssertionError("diameter fell back to a walk per vertex")
+
+    g = graph_of(vector_space(2, 1, 5))
+    monkeypatch.setattr(IntersectionGraph, "_eccentricity", eccentricity)
+    assert g.n == 372 and g.diameter() == 2
 
 
 def test_girth_matches_path_oracle(named_contexts):

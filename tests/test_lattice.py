@@ -1,5 +1,7 @@
 import pytest
 
+from modgraph import lattice as lattice_mod
+from modgraph import modules
 from modgraph.errors import CapExceeded, StructureError
 from modgraph.caps import Caps
 from modgraph.fields import gf_build
@@ -28,6 +30,7 @@ from .oracles import (
     abelian_p_group_subgroup_count,
     brute_endomorphism_count,
     brute_goldie,
+    brute_greedy_generators,
     brute_socle_pair,
     brute_submodules_grow,
     brute_submodules_subsets,
@@ -273,6 +276,28 @@ def test_socle_pair_matches_oracle(named_contexts, family16_contexts):
         assert lat.socle_pair == want, ctx.instance_id
         pairs += want is not None
     assert pairs >= 10
+
+
+def test_generators_match_greedy_closure_oracle(named_contexts, family16_contexts):
+    checked = 0
+    for ctx in [*named_contexts, *family16_contexts]:
+        lat = ctx.lattice
+        for i, sub in enumerate(lat.subs):
+            assert lat.gens(i) == brute_greedy_generators(lat.module, sub.members), ctx.instance_id
+            checked += 1
+    assert checked > 400
+
+
+def test_describing_members_closes_nothing(monkeypatch, named_contexts):
+    def closed(*args):
+        raise AssertionError("a member was closed again to find its generators")
+
+    monkeypatch.setattr(modules, "close_subset", closed)
+    monkeypatch.setattr(lattice_mod, "close_subset", closed)
+    for ctx in named_contexts:
+        lat = enumerate_submodules(ctx.module)
+        labels = [lat.describe(i) for i in range(len(lat))]
+        assert labels[lat.zero_index] == "<0>" and len(set(labels)) == len(lat), ctx.instance_id
 
 
 def test_pair_of_simples_vertex_counts():

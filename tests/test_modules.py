@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from modgraph.errors import ConstructionError
 from modgraph.fields import gf_build
+from modgraph.lattice import enumerate_submodules
 from modgraph.modules import (
     FiniteModule,
     Submodule,
@@ -78,7 +79,8 @@ def test_closure_matches_naive_fixpoint(n, gens):
 def test_submodule_gens_regenerate_members():
     reg = regular_module(ring_zmod(36))
     sub = submodule_generated(reg, [6, 9])
-    regen = submodule_generated(reg, list(sub.gens))
+    lat = enumerate_submodules(reg)
+    regen = submodule_generated(reg, list(lat.gens(lat.position(sub))))
     assert regen.members == sub.members
     assert sub.key == (len(sub.members), sub.members)
 

@@ -1,5 +1,7 @@
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modgraph import solvers
@@ -92,6 +94,29 @@ def test_solvers_match_brute_force(g):
 def test_greedy_coloring_always_proper(g):
     n, adj = g
     assert is_proper_coloring(n, adj, greedy_coloring(n, adj))
+
+
+@given(random_graph(), st.data())
+@example((1, [0]), None)
+@settings(max_examples=100, deadline=None)
+def test_renumbered_matches_bitwise_permutation(g, data):
+    n, adj = g
+    order = list(range(n)) if data is None else data.draw(st.permutations(range(n)))
+    naive = []
+    for v in order:
+        row = 0
+        for i, u in enumerate(order):
+            if (adj[v] >> u) & 1:
+                row |= 1 << i
+        naive.append(row)
+    assert solvers._renumbered(adj, order) == naive
+
+
+def test_max_clique_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    full = (1 << n) - 1
+    adj = [full & ~(1 << v) for v in range(n)]
+    assert max_clique(n, adj, Caps(max_exact_vertices=n)) == (n, list(range(n)))
 
 
 def test_max_clique_matches_oracles_on_zoo_and_census(named_contexts, family16_contexts):
