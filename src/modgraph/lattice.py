@@ -1,18 +1,18 @@
 """Exhaustive submodule lattices and structure theory built on them.
 
 Enumeration is by cyclic extension (Lux, Mueller and Ringe, "Peakword
-condensation and submodule lattices", J. Symb. Comp. 1994): starting from
-{0}, each frontier of new submodules S is extended by every distinct cyclic
-submodule C = Rx, giving S + C.  Every submodule N = Rx_1 + ... + Rx_k is
-reached along 0 < Rx_1 < Rx_1 + Rx_2 < ..., so the result is complete.  The
-canonical order is (size, member tuple), and all vertex numbering downstream
-derives from it.
+condensation and submodule lattices", J. Symb. Comp. 1994), taken over
+cosets: starting from {0}, each new submodule S is extended to S + Rx for
+one x per coset x + S other than S (`enumerate_submodules` says why this
+reaches every submodule).  The canonical order is (size, member tuple), and
+all vertex numbering downstream derives from it.
 
 Each lattice computes its order kernel (containment and cover bitsets over
-lattice indices, heights) once, on first use.  Quotient and section facts are
-read off it as intervals: by the correspondence theorem Lat(B/A) is the
-interval [A, B], so no quotient module is built and no lattice is enumerated
-again to answer them.
+lattice indices, heights) once, on first use, from the (S, x) that first
+gave each member N = S + Rx, with no pairwise comparison of members.
+Quotient and section facts are read off it as intervals: by the
+correspondence theorem Lat(B/A) is the interval [A, B], so no quotient
+module is built and no lattice is enumerated again to answer them.
 
 Generators are a lattice fact too: `gens(i)` is the greedy generator list
 of member i (each generator the smallest element not yet generated), found
@@ -50,19 +50,6 @@ from .rings import FiniteRing
 from .solvers import iter_bits
 
 
-def _sums(module: FiniteModule, mem_s: np.ndarray, mems: list[np.ndarray]):
-    """S + C = {s + c} for the members mem_s of a submodule S and each member
-    array C in mems (any order, repeats allowed).  Returns the bitsets of
-    the sums and their boolean carrier masks, one row per C."""
-    mask = np.zeros((len(mems), module.size), dtype=bool)
-    rows = np.repeat(np.arange(len(mems)), [len(c) for c in mems])
-    mask[rows, module.add[mem_s[:, None], np.concatenate(mems)]] = True
-    packed = np.packbits(mask, axis=1, bitorder="little")
-    raw, width = packed.tobytes(), packed.shape[1]
-    bits = [int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
-    return bits, mask
-
-
 class _Order(NamedTuple):
     """Order kernel over lattice indices: down[i]/up[i] are bitsets of the
     indices below/above i (inclusive), lower[i]/upper[i] those of its
@@ -78,9 +65,15 @@ class _Order(NamedTuple):
 class Lattice:
     """All submodules of a module, in canonical order, with meet/join."""
 
-    def __init__(self, module: FiniteModule, subs: list[Submodule]):
+    def __init__(
+        self, module: FiniteModule, subs: list[Submodule], parents: dict[int, tuple[int, int]]
+    ):
+        """parents maps the bitset of every nonzero member N to a pair
+        (bitset of S, x) with S < N and N = S + Rx, as the enumeration
+        found it; the order kernel is built from these pairs."""
         self.module = module
         self.subs = tuple(sorted(subs, key=lambda s: s.key))
+        self._parents = parents
         self._pos = {s.bits: i for i, s in enumerate(self.subs)}
         self.zero_index = self._pos[1]
         self.full_index = self._pos[(1 << module.size) - 1]
@@ -111,16 +104,16 @@ class Lattice:
         return (common & -common).bit_length() - 1
 
     @cached_property
-    def _cyclic(self) -> list[int]:
-        """_cyclic[x] is the index of Rx: the first member in canonical
-        order containing x, since every member containing x contains Rx."""
-        cyclic = [0] * self.module.size
-        seen = 0
+    def _holders(self) -> list[int]:
+        """_holders[x] is the bitset of the member indices containing x.  Its
+        lowest bit is Rx: every member containing x contains Rx, and canonical
+        order puts Rx before them."""
+        holders = [0] * self.module.size
         for i, s in enumerate(self.subs):
-            for x in iter_bits(s.bits & ~seen):
-                cyclic[x] = i
-            seen |= s.bits
-        return cyclic
+            bit = 1 << i
+            for x in s.members:
+                holders[x] |= bit
+        return holders
 
     def gens(self, i: int) -> tuple[int, ...]:
         """Greedy generators of member i: each is the smallest member
@@ -130,7 +123,8 @@ class Lattice:
             for x in self.subs[i].members:
                 if not self.subs[span].bits >> x & 1:
                     gens.append(x)
-                    span = self.join_index(span, self._cyclic[x])
+                    rx = self._holders[x]
+                    span = self.join_index(span, (rx & -rx).bit_length() - 1)
             self._gens[i] = tuple(gens)
         return self._gens[i]
 
@@ -141,25 +135,30 @@ class Lattice:
 
     @cached_property
     def _order(self) -> _Order:
-        # canonical order is size-ascending, so everything below i comes first
-        bits = [s.bits for s in self.subs]
-        n = len(bits)
-        down, up, lower, upper, heights = ([0] * n for _ in range(5))
-        for i, b in enumerate(bits):
-            below = 0
-            for j in range(i + 1):
-                if bits[j] & b == bits[j]:
-                    below |= 1 << j
-                    up[j] |= 1 << i
-            down[i] = below
-            strict = below & ~(1 << i)
-            shadow = 0
-            for j in iter_bits(strict):
-                shadow |= down[j] & ~(1 << j)
-            lower[i] = strict & ~shadow
-            for j in iter_bits(lower[i]):
-                upper[j] |= 1 << i
-            heights[i] = max((heights[j] + 1 for j in iter_bits(lower[i])), default=0)
+        n, pos, holders = len(self.subs), self._pos, self._holders
+        # N contains S + Rx iff N contains S and x; S precedes S + Rx
+        up = [(1 << n) - 1] * n
+        for i, s in enumerate(self.subs):
+            if i != self.zero_index:
+                parent, x = self._parents[s.bits]
+                up[i] = up[pos[parent]] & holders[x]
+        down = [0] * n
+        for i, u in enumerate(up):
+            bit = 1 << i
+            for j in iter_bits(u):
+                down[j] |= bit
+        # Submodule lattices are modular, so every maximal chain from 0 to i
+        # has the same length (Jordan-Dedekind).  The last member strictly
+        # below i in canonical order is a largest one, hence maximal in i,
+        # and the lower covers of i are the members below it one level down.
+        heights, levels = [0] * n, [0] * (n + 1)
+        for i, d in enumerate(down):
+            strict = d ^ (1 << i)
+            if strict:
+                heights[i] = heights[strict.bit_length() - 1] + 1
+            levels[heights[i]] |= 1 << i
+        lower = [d & levels[h - 1] if h else 0 for d, h in zip(down, heights)]
+        upper = [u & levels[h + 1] for u, h in zip(up, heights)]
         return _Order(down, up, lower, upper, heights)
 
     # -- structural predicates ------------------------------------------
@@ -278,26 +277,40 @@ class Lattice:
 
 
 def enumerate_submodules(module: FiniteModule, caps: Caps | None = None) -> Lattice:
+    """Every submodule of module, by cyclic extension over cosets.
+
+    Each newly found submodule S is extended to S + Rx for one x in each
+    coset x + S other than S: S + Rx depends only on the coset, because
+    R(x + s) lies in Rx + S.  This reaches every submodule N other than 0,
+    since N = M' + Rx for any maximal M' < N and any x in N outside M', and
+    M', being smaller, is found first.  S + Rx is the union of the cosets
+    of S that meet Rx, marked by their least elements rep.
+
+    Every new submodule counts against caps.max_submodules, and the (S, x)
+    that found it first is handed to the lattice as its parent.
+    """
     caps = caps or Caps()
+    size = module.size
+    carrier = np.arange(size)
     zero = np.zeros(1, dtype=np.intp)
-    # Rx = {0} + {r x : r in R}; distinct cyclics keyed by their bitsets
-    bits, masks = _sums(module, zero, [module.act[:, x] for x in range(module.size)])
-    cyclics = {b: np.flatnonzero(row) for b, row in zip(bits, masks)}
     known = {1: zero}
+    parents: dict[int, tuple[int, int]] = {}
     frontier = [(1, zero)]
     while frontier:
         fresh: list[tuple[int, np.ndarray]] = []
         for bits_s, mem_s in frontier:
-            grow = [
-                mem_c for bits_c, mem_c in cyclics.items()
-                if bits_c & bits_s != bits_c and bits_s | bits_c not in known
-            ]
-            if not grow:
-                continue
-            bits, masks = _sums(module, mem_s, grow)
-            for b, row in zip(bits, masks):
+            rep = module.add[:, mem_s].min(axis=1)
+            xs = np.flatnonzero(rep == carrier)[1:]  # 0 represents S itself
+            hit = np.zeros((len(xs), size), dtype=bool)
+            hit[np.arange(len(xs)), rep[module.act[:, xs]]] = True
+            masks = hit[:, rep]
+            packed = np.packbits(masks, axis=1, bitorder="little")
+            raw, width = packed.tobytes(), packed.shape[1]
+            for k, x in enumerate(xs.tolist()):
+                b = int.from_bytes(raw[k * width:(k + 1) * width], "little")
                 if b not in known:
-                    known[b] = mem = np.flatnonzero(row)
+                    known[b] = mem = np.flatnonzero(masks[k])
+                    parents[b] = (bits_s, x)
                     fresh.append((b, mem))
                     if len(known) > caps.max_submodules:
                         raise CapExceeded(
@@ -305,7 +318,7 @@ def enumerate_submodules(module: FiniteModule, caps: Caps | None = None) -> Latt
                             " raise the cap to proceed"
                         )
         frontier = fresh
-    return Lattice(module, [Submodule(module, mem) for mem in known.values()])
+    return Lattice(module, [Submodule(module, mem) for mem in known.values()], parents)
 
 
 # -- simple-module isomorphism counting --------------------------------------
@@ -414,8 +427,7 @@ def ideal_product(module: FiniteModule, a_members, b_members) -> np.ndarray:
     ring = module.ring
     a = np.array(sorted(int(x) for x in a_members))
     b = np.array(sorted(int(x) for x in b_members))
-    prods = np.unique(ring.mul[np.ix_(a, b)])
-    return close_subset(module, prods)
+    return close_subset(module, ring.mul[np.ix_(a, b)].ravel())
 
 
 def prime_radical(

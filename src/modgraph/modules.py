@@ -114,15 +114,12 @@ def close_subset(module: FiniteModule, seed) -> np.ndarray:
         in_set[seed] = True
     frontier = np.flatnonzero(in_set)
     while frontier.size:
-        cur = np.flatnonzero(in_set)
-        sums = module.add[np.ix_(frontier, cur)].ravel()
-        acted = module.act[:, frontier].ravel()
-        cand = np.concatenate([sums, acted])
-        cand = np.unique(cand[~in_set[cand]])
-        if cand.size == 0:
-            break
-        in_set[cand] = True
-        frontier = cand
+        fresh = np.zeros(m, dtype=bool)
+        fresh[module.add[np.ix_(frontier, np.flatnonzero(in_set))]] = True
+        fresh[module.act[:, frontier]] = True
+        fresh &= ~in_set
+        in_set |= fresh
+        frontier = np.flatnonzero(fresh)
     return np.flatnonzero(in_set)
 
 
@@ -132,7 +129,9 @@ def submodule_generated(module: FiniteModule, gens) -> Submodule:
 
 def cyclic_members(module: FiniteModule, x: int) -> np.ndarray:
     """Rx for a unital action; already add- and action-closed."""
-    return np.unique(module.act[:, x])
+    hit = np.zeros(module.size, dtype=bool)
+    hit[module.act[:, x]] = True
+    return np.flatnonzero(hit)
 
 
 # -- constructions ---------------------------------------------------------
@@ -174,7 +173,7 @@ def quotient(
     if not np.array_equal(closed, mem):
         raise ConstructionError("kernel is not a submodule")
     rep = module.add[:, mem].min(axis=1).astype(np.int64)
-    reps = np.unique(rep)
+    reps = np.flatnonzero(rep == np.arange(module.size))  # each coset's least element
     pos = np.full(module.size, -1, dtype=np.int64)
     pos[reps] = np.arange(len(reps))
     proj = pos[rep]

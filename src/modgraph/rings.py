@@ -384,16 +384,16 @@ def ring_from_tables(
 
 def quotient_ring(ring: FiniteRing, ideal_members: list[int], caps: Caps | None = None) -> FiniteRing:
     """Quotient by a two-sided ideal given as its full member list."""
-    mem = np.unique(np.asarray(ideal_members, dtype=np.int64))
-    if 0 not in mem:
-        raise ConstructionError("ideal must contain 0")
     inside = np.zeros(ring.size, dtype=bool)
-    inside[mem] = True
+    inside[np.asarray(ideal_members, dtype=np.int64)] = True
+    if not inside[0]:
+        raise ConstructionError("ideal must contain 0")
+    mem = np.flatnonzero(inside)
     closed = inside[ring.add[np.ix_(mem, mem)]].all() and inside[ring.mul[:, mem]].all()
     if not (closed and inside[ring.mul[mem]].all()):
         raise ConstructionError("member set is not a two-sided ideal")
     rep = ring.add[:, mem].min(axis=1).astype(np.int64)
-    reps = np.unique(rep)
+    reps = np.flatnonzero(rep == np.arange(ring.size))  # each coset's least element
     pos = np.full(ring.size, -1, dtype=np.int64)
     pos[reps] = np.arange(len(reps))
     add = pos[rep[ring.add[np.ix_(reps, reps)]]]

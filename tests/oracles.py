@@ -274,6 +274,25 @@ def brute_longest_chain(subsets, lo, hi):
     return longest(lo)
 
 
+def brute_order(subsets):
+    """Order kernel of a family of member tuples as bitsets over family
+    indices: (down, up, lower, upper, heights).  down[i] and up[i] hold the
+    members below and above i, i included, by pairwise subset tests; lower
+    and upper hold the covers found by brute_covers; heights[i] is the
+    longest strictly increasing chain from the least member up to i."""
+    sets = [frozenset(s) for s in subsets]
+    idx = range(len(sets))
+    down = [sum(1 << j for j in idx if sets[j] <= sets[i]) for i in idx]
+    up = [sum(1 << j for j in idx if sets[i] <= sets[j]) for i in idx]
+    covers = brute_covers(subsets)
+    lower = [sum(1 << i for i, k in covers if k == j) for j in idx]
+    upper = [sum(1 << j for k, j in covers if k == i) for i in idx]
+    heights = {}
+    for i in sorted(idx, key=lambda i: len(sets[i])):
+        heights[i] = max((heights[j] + 1 for j in idx if sets[j] < sets[i]), default=0)
+    return down, up, lower, upper, [heights[i] for i in idx]
+
+
 def _rows(table):
     return [[int(v) for v in row] for row in table]
 

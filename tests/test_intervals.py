@@ -25,7 +25,14 @@ from modgraph.modules import (
 )
 from modgraph.rings import ring_from_field, ring_zmod
 
-from .oracles import brute_covers, brute_longest_chain, brute_submodules_grow, naive_closure
+from .oracles import (
+    brute_covers,
+    brute_longest_chain,
+    brute_order,
+    brute_submodules_grow,
+    naive_closure,
+)
+from .test_lattice import zmod_sum
 
 
 def _contexts(named_contexts, family16_contexts):
@@ -92,12 +99,17 @@ def _z4_squared():
     return direct_sum(reg, reg)
 
 
-@pytest.mark.parametrize("build", [_f2_4, _z4_squared], ids=["F2^4", "Z4^2"])
+@pytest.mark.parametrize(
+    "build",
+    [_f2_4, _z4_squared, lambda: zmod_sum(8, [8, 2]), lambda: zmod_sum(9, [9, 9])],
+    ids=["F2^4", "Z4^2", "Z8+Z2", "Z9+Z9"],
+)
 def test_order_kernel_matches_brute_force(build):
     module = build()
     lat = enumerate_submodules(module)
     subsets = brute_submodules_grow(module)
     assert [s.members for s in lat.subs] == subsets  # one canonical order
+    assert tuple(lat._order) == brute_order(subsets)
     n, zero, full = len(subsets), 0, len(subsets) - 1
     covers = brute_covers(subsets)
     assert sorted((i, j) for i in range(n) for j in lat.covers_in(i, full)) == covers
@@ -126,3 +138,9 @@ def test_order_kernel_matches_brute_force(build):
             None,
         )
         assert lat.simple_complement(lo) == want
+
+
+def test_order_kernel_matches_brute_order_on_zoo_and_census(named_contexts, family16_contexts):
+    for ctx in _contexts(named_contexts, family16_contexts):
+        lat = ctx.lattice
+        assert tuple(lat._order) == brute_order([s.members for s in lat.subs]), ctx.instance_id

@@ -150,6 +150,20 @@ def test_subspace_counts_match_gaussian_binomials(q, d):
     assert len(lat) == subspace_count(d, q)
 
 
+@pytest.mark.parametrize("q,d", [(3, 4), (2, 6)], ids=["F3^4", "F2^6"])
+def test_order_kernel_closed_forms_on_vector_spaces(q, d):
+    # a k-dimensional subspace of F_q^d has height k, one upper cover per
+    # line of the quotient F_q^(d-k) and one lower cover per hyperplane
+    lat = enumerate_submodules(vector_space(q, 1, d))
+    order = lat._order
+    dims = {q**k: k for k in range(d + 1)}
+    for i, sub in enumerate(lat.subs):
+        k = dims[sub.size]
+        assert order.heights[i] == k
+        assert order.upper[i].bit_count() == (q ** (d - k) - 1) // (q - 1)
+        assert order.lower[i].bit_count() == (q**k - 1) // (q - 1)
+
+
 def test_essential_uniform_predicates():
     lat4 = enumerate_submodules(regular_module(ring_zmod(4)))
     inner = next(i for i, s in enumerate(lat4.subs) if s.size == 2)

@@ -264,3 +264,21 @@ def test_cli_verify_exit_one_on_failing_check(spec_file, capsys, monkeypatch):
     assert main(["verify", spec_file, "--check", "C0-injected"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_verify_does_not_import_numpy_ma():
+    # the first np.unique in a process imports numpy.ma, which costs more
+    # than a small verify run; the package dedupes with boolean masks
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from modgraph.checks import run_suite",
+        "from modgraph.cli import main",
+        "from modgraph.zoo import family",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['verify', '--family', 'named']) == 0",
+        "ctx = next(c for c in family(16) if c.instance_id == 'product(zmod(4),polyquot(F2,x^2))/regular')",
+        "run_suite([ctx])",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
