@@ -187,12 +187,19 @@ def check_length_additivity(ctx: InstanceContext) -> CheckReport:
     cid = "C3-length-additivity"
     if not lat.nontrivial_indices():
         return CheckReport(cid, ctx.instance_id, VACUOUS)
+    # l(N) and l(M/N) are the longest chains in [0, N] and [N, M], found from
+    # containment alone: the kernel's heights presume the additivity checked
+    # here, so they are checked against l(N) too
     total = lat.composition_length()
+    chain_down, chain_up = lat.longest_chains
+    for i, (height, l_n) in enumerate(zip(lat.chain_lengths(), chain_down)):
+        if height != l_n:
+            return CheckReport(
+                cid, ctx.instance_id, FAIL,
+                f"kernel height {height} != l(N)={l_n} at N={lat.describe(i)}",
+            )
     for i in lat.nontrivial_indices():
-        # l(M/N) is the longest chain in [N, M], never height(M) - height(N):
-        # the latter presumes the additivity checked here
-        l_q = lat.interval_length(i, lat.full_index)
-        l_n = lat.length_of(i)
+        l_n, l_q = chain_down[i], chain_up[i]
         if total != l_n + l_q:
             return CheckReport(
                 cid, ctx.instance_id, FAIL,

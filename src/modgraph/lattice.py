@@ -4,8 +4,14 @@ Enumeration is by cyclic extension (Lux, Mueller and Ringe, "Peakword
 condensation and submodule lattices", J. Symb. Comp. 1994), taken over
 cosets: starting from {0}, each new submodule S is extended to S + Rx for
 one x per coset x + S other than S (`enumerate_submodules` says why this
-reaches every submodule).  The canonical order is (size, member tuple), and
-all vertex numbering downstream derives from it.
+reaches every submodule).  The submodules found wait in levels by size, and
+the smallest level is extended next, whole: every member of it is already
+known, since each is M' + Rx for a smaller M', and every S + Rx is larger
+than S.  One level runs as a few numpy kernels over all its members at
+once, cut into batches of at most _BATCH_CELLS array cells so memory stays
+bounded, and each member's bitset and member tuple go to its `Submodule`
+as found.  The canonical order is (size, member tuple), and all vertex
+numbering downstream derives from it.
 
 Each lattice computes its order kernel (containment and cover bitsets over
 lattice indices, heights) once, on first use, from the (S, x) that first
@@ -161,6 +167,33 @@ class Lattice:
         upper = [u & levels[h + 1] for u, h in zip(up, heights)]
         return _Order(down, up, lower, upper, heights)
 
+    @cached_property
+    def longest_chains(self) -> tuple[list[int], list[int]]:
+        """(chain_down, chain_up): the longest chain from 0 to each member and
+        from each member to M, read off the containment bitsets alone, never
+        off the kernel's heights or covers, so that C3 can test those.
+
+        Canonical order lists every member strictly below a member before
+        it, so members are walked in that order for chains down and in
+        reverse for chains up.  levels[k] holds the members done so far with
+        value k, and a member's value is one more than the highest level
+        meeting its strict down-set (up-set): at most l(M) + 1 ANDs each."""
+
+        def longest(sets: list[int], walk: range) -> list[int]:
+            values, levels = [0] * len(sets), []
+            for i in walk:
+                strict, k = sets[i] ^ (1 << i), len(levels)
+                while k and not levels[k - 1] & strict:
+                    k -= 1
+                values[i] = k
+                if k == len(levels):
+                    levels.append(0)
+                levels[k] |= 1 << i
+            return values
+
+        n, order = len(self.subs), self._order
+        return longest(order.down, range(n)), longest(order.up, range(n - 1, -1, -1))
+
     # -- structural predicates ------------------------------------------
 
     def nontrivial_indices(self) -> list[int]:
@@ -204,17 +237,6 @@ class Lattice:
     def interval_size(self, lo: int, hi: int) -> int:
         """|[lo, hi]|, the number of submodules of hi/lo."""
         return (self._order.up[lo] & self._order.down[hi]).bit_count()
-
-    def interval_length(self, lo: int, hi: int) -> int:
-        """Longest chain inside [lo, hi], the composition length of hi/lo."""
-        order = self._order
-        inside = order.up[lo] & order.down[hi]
-        if not (inside >> hi) & 1:
-            raise StructureError("interval bounds are not nested")
-        best = {lo: 0}
-        for k in iter_bits(inside & ~(1 << lo)):
-            best[k] = 1 + max(best[c] for c in iter_bits(order.lower[k] & inside))
-        return best[hi]
 
     def covers_in(self, lo: int, hi: int) -> list[int]:
         """Covers of lo inside [lo, hi]; A/lo for these A are the simple
@@ -276,49 +298,85 @@ class Lattice:
         return len(kept), tuple(kept)
 
 
+# Cells (array elements) one intermediate array of a batch may hold.  A size
+# level is extended in chunks of at most this many cells, so memory stays
+# bounded however many submodules one level has.
+_BATCH_CELLS = 1 << 20
+
+
 def enumerate_submodules(module: FiniteModule, caps: Caps | None = None) -> Lattice:
     """Every submodule of module, by cyclic extension over cosets.
 
-    Each newly found submodule S is extended to S + Rx for one x in each
-    coset x + S other than S: S + Rx depends only on the coset, because
-    R(x + s) lies in Rx + S.  This reaches every submodule N other than 0,
-    since N = M' + Rx for any maximal M' < N and any x in N outside M', and
-    M', being smaller, is found first.  S + Rx is the union of the cosets
-    of S that meet Rx, marked by their least elements rep.
+    Each submodule S is extended to S + Rx for one x in each coset x + S
+    other than S: S + Rx depends only on the coset, because R(x + s) lies
+    in Rx + S.  This reaches every submodule N other than 0, since
+    N = M' + Rx for any maximal M' < N and any x in N outside M'.
+    S + Rx is the union of the cosets of S that meet Rx, marked by their
+    least elements rep.
+
+    The submodules found wait in size levels, and the smallest level is
+    extended next, many members per run of a few numpy kernels.  A level is
+    complete when it is taken: its members are M' + Rx for smaller M',
+    whose levels were extended before, and S + Rx, being larger than S,
+    only ever joins a later level.  Every S of one level has the same
+    number |M|/|S| - 1 of cosets besides itself, so a batch's arrays are
+    rectangular.  A level is cut into batches of at most _BATCH_CELLS
+    cells per intermediate array, so memory stays bounded.
 
     Every new submodule counts against caps.max_submodules, and the (S, x)
     that found it first is handed to the lattice as its parent.
     """
     caps = caps or Caps()
     size = module.size
+    add, act_t = module.add, module.act.T  # act_t[x] lists Rx, one entry per r
     carrier = np.arange(size)
-    zero = np.zeros(1, dtype=np.intp)
-    known = {1: zero}
-    parents: dict[int, tuple[int, int]] = {}
-    frontier = [(1, zero)]
-    while frontier:
-        fresh: list[tuple[int, np.ndarray]] = []
-        for bits_s, mem_s in frontier:
-            rep = module.add[:, mem_s].min(axis=1)
-            xs = np.flatnonzero(rep == carrier)[1:]  # 0 represents S itself
-            hit = np.zeros((len(xs), size), dtype=bool)
-            hit[np.arange(len(xs)), rep[module.act[:, xs]]] = True
-            masks = hit[:, rep]
+    zero = (0,)
+    subs = [Submodule(module, zero, bits=1)]
+    parents: dict[int, tuple[int, int]] = {}  # also the set of nonzero members found
+    pending: dict[int, list[tuple[int, tuple[int, ...]]]] = {1: [(1, zero)]}
+    while pending:
+        s = min(pending)
+        level = pending.pop(s)
+        cosets = size // s - 1  # the cosets of each S other than S itself
+        if not cosets:
+            continue
+        step = max(1, _BATCH_CELLS // (max(s, cosets) * max(size, act_t.shape[1])))
+        for first in range(0, len(level), step):
+            batch = level[first:first + step]
+            f = len(batch)
+            # add is symmetric, so its rows at S's members are the cosets s + y
+            rep = add[np.array([m for _, m in batch])].min(axis=1)  # f x size
+            xs = np.nonzero(rep == carrier)[1].reshape(f, cosets + 1)[:, 1:]  # 0 represents S
+            rows = rep + np.arange(0, f * size, size)[:, None]  # hit row of y's coset
+            # hit[rows[f, y], j]: the coset of y meets R xs[f, j]
+            hit = np.zeros((f * size, cosets), dtype=bool)
+            rx = np.take_along_axis(rows, act_t[xs].reshape(f, -1), axis=1)
+            hit[rx.reshape(f, cosets, -1), np.arange(cosets)[:, None]] = True
+            masks = hit[rows].transpose(0, 2, 1).reshape(f * cosets, size)
             packed = np.packbits(masks, axis=1, bitorder="little")
             raw, width = packed.tobytes(), packed.shape[1]
-            for k, x in enumerate(xs.tolist()):
+            fresh, found = [], []
+            for k, x in enumerate(xs.ravel().tolist()):
                 b = int.from_bytes(raw[k * width:(k + 1) * width], "little")
-                if b not in known:
-                    known[b] = mem = np.flatnonzero(masks[k])
-                    parents[b] = (bits_s, x)
-                    fresh.append((b, mem))
-                    if len(known) > caps.max_submodules:
+                if b not in parents:
+                    parents[b] = (batch[k // cosets][0], x)
+                    fresh.append(k)
+                    found.append(b)
+                    if len(parents) + 1 > caps.max_submodules:  # + 1 for 0
                         raise CapExceeded(
                             f"more than max_submodules={caps.max_submodules} submodules;"
                             " raise the cap to proceed"
                         )
-        frontier = fresh
-    return Lattice(module, [Submodule(module, mem) for mem in known.values()], parents)
+            if not fresh:
+                continue
+            cols = np.nonzero(masks[fresh])[1].tolist()
+            end = 0
+            for b in found:
+                begin, end = end, end + b.bit_count()
+                members = tuple(cols[begin:end])
+                subs.append(Submodule(module, members, bits=b))
+                pending.setdefault(end - begin, []).append((b, members))
+    return Lattice(module, subs, parents)
 
 
 # -- simple-module isomorphism counting --------------------------------------

@@ -74,14 +74,21 @@ def bits_of(members) -> int:
 
 
 class Submodule:
-    """A submodule of a fixed ambient module, identified by its bitset."""
+    """A submodule of a fixed ambient module, identified by its bitset.
+
+    A caller that already holds the bitset passes it as bits, together with
+    members as the sorted tuple of Python ints it encodes; neither is
+    rebuilt."""
 
     __slots__ = ("module", "bits", "members")
 
-    def __init__(self, module: FiniteModule, members):
+    def __init__(self, module: FiniteModule, members, bits: int | None = None):
         self.module = module
-        self.members = tuple(int(x) for x in members)
-        self.bits = bits_of(self.members)
+        if bits is None:
+            members = tuple(int(x) for x in members)
+            bits = bits_of(members)
+        self.members = members
+        self.bits = bits
 
     @property
     def size(self) -> int:

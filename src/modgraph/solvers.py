@@ -126,13 +126,23 @@ def max_cliques(n: int, adj: list[int], caps: Caps | None = None) -> list[list[i
 
 
 def greedy_coloring(n: int, adj: list[int]) -> list[int]:
+    """First-fit colouring in index order: each vertex takes the least colour
+    that no earlier neighbour has.  It is built one colour class at a time
+    over bitsets, which gives the same colouring: class c takes, in index
+    order, each vertex left by the earlier classes with no neighbour
+    already in c."""
     colors = [-1] * n
-    for v in range(n):
-        used = {colors[u] for u in iter_bits(adj[v]) if colors[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
+    rest = (1 << n) - 1
+    color = 0
+    while rest:
+        avail = rest
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            colors[v] = color
+            avail &= ~(adj[v] | low)
+            rest ^= low
+        color += 1
     return colors
 
 

@@ -116,6 +116,19 @@ def brute_chromatic(n, adj):
     return n
 
 
+def brute_first_fit(n, adj):
+    """First-fit colouring in index order: each vertex, one at a time, takes
+    the least colour that none of its earlier neighbours has."""
+    colors = []
+    for v in range(n):
+        used = {colors[u] for u in range(v) if (adj[v] >> u) & 1}
+        c = 0
+        while c in used:
+            c += 1
+        colors.append(c)
+    return colors
+
+
 def gaussian_binomial(n, k, q):
     num, den = 1, 1
     for i in range(k):

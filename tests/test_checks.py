@@ -12,6 +12,7 @@ from modgraph.checks import (
     VACUOUS,
     check_complement_coloring,
     check_connectivity,
+    check_length_additivity,
     check_low_degree,
     check_overline_coloring,
     check_pair_count,
@@ -214,3 +215,22 @@ def test_suite_reads_each_structural_fact_once(monkeypatch, named_contexts, fami
         reports, summary = run_suite([fresh])
         assert not summary.failed and len(reports) == len(ALL_CHECKS), ctx.instance_id
         assert len(solved) <= 2, ctx.instance_id
+
+
+def test_length_additivity_catches_a_wrong_kernel_height(named_contexts):
+    # C3 reads l(N) and l(M/N) off containment alone, so a kernel height that
+    # is off at any one member must make it fail
+    mutated = 0
+    for ctx in named_contexts:
+        fresh = InstanceContext(ctx.instance, ctx.caps)
+        lat = fresh.lattice
+        if check_length_additivity(fresh).status != PASS:
+            continue
+        heights = lat.chain_lengths()
+        for i in lat.nontrivial_indices():
+            heights[i] += 1
+            report = check_length_additivity(fresh)
+            heights[i] -= 1
+            assert report.status == FAIL and "kernel height" in report.witness, (ctx.instance_id, i)
+            mutated += 1
+    assert mutated > 100

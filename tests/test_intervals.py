@@ -47,10 +47,10 @@ def test_quotient_and_sub_lattices_are_intervals(named_contexts, family16_contex
         for n, sub in enumerate(lat.subs):
             lat_q = enumerate_submodules(quotient(ctx.module, sub)[0])
             assert len(lat_q) == lat.interval_size(n, full), (ctx.instance_id, n)
-            assert lat_q.composition_length() == lat.interval_length(n, full), (ctx.instance_id, n)
+            assert lat_q.composition_length() == lat.longest_chains[1][n], (ctx.instance_id, n)
             lat_n = enumerate_submodules(submodule_as_module(sub))
             assert len(lat_n) == lat.interval_size(lat.zero_index, n), (ctx.instance_id, n)
-            assert lat_n.composition_length() == lat.interval_length(lat.zero_index, n)
+            assert lat_n.composition_length() == lat.longest_chains[0][n]
             checked += 1
     assert checked > 400
 
@@ -118,6 +118,10 @@ def test_order_kernel_matches_brute_force(build):
     assert [i for i in range(n) if lat.is_simple(i)] == lat.atom_indices()
     assert [i for i in range(n) if lat.is_maximal(i)] == lat.maximal_indices()
     assert lat.chain_lengths() == [brute_longest_chain(subsets, zero, i) for i in range(n)]
+    assert lat.longest_chains == (
+        [brute_longest_chain(subsets, zero, i) for i in range(n)],
+        [brute_longest_chain(subsets, i, full) for i in range(n)],
+    )
     sets = [frozenset(s) for s in subsets]
     nonzero = [c for c in sets if len(c) > 1]
     for i, s in enumerate(sets):
@@ -131,7 +135,6 @@ def test_order_kernel_matches_brute_force(build):
             assert lat.interval_size(lo, hi) == len(inside)
             if inside:
                 assert lat.covers_in(lo, hi) == [j for i, j in covers if i == lo and sets[j] <= sets[hi]]
-        assert lat.interval_length(lo, full) == brute_longest_chain(subsets, lo, full)
         want = next(
             (a for a in lat.atom_indices()
              if sets[a] & sets[lo] == {0} and naive_closure(module, sets[a] | sets[lo]) == sets[full]),

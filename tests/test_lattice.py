@@ -367,3 +367,28 @@ def test_cap_counts_every_submodule():
     with pytest.raises(CapExceeded, match="max_submodules=2"):
         enumerate_submodules(regular_module(ring_zmod(8)), Caps(max_submodules=2))
     assert len(enumerate_submodules(regular_module(ring_zmod(8)), Caps(max_submodules=4))) == 4
+
+
+def test_one_submodule_per_batch_gives_the_same_lattice(monkeypatch, named_contexts, family16_contexts):
+    # a budget of one cell leaves a single S in every batch of a size level
+    modules_ = [c.module for c in [*named_contexts, *family16_contexts]]
+    modules_ += [zmod_sum(8, [8, 2]), zmod_sum(9, [9, 9])]
+    default = [enumerate_submodules(m) for m in modules_]
+    monkeypatch.setattr(lattice_mod, "_BATCH_CELLS", 1)
+    for m, want in zip(modules_, default):
+        got = enumerate_submodules(m)
+        assert [(s.bits, s.members) for s in got.subs] == [(s.bits, s.members) for s in want.subs]
+        assert tuple(got._order) == tuple(want._order)
+
+
+def test_enumeration_hands_each_submodule_its_bitset(monkeypatch):
+    def rebuilt(members):
+        raise AssertionError("a bitset was rebuilt")
+
+    module = zmod_sum(8, [8, 2])
+    monkeypatch.setattr(modules, "bits_of", rebuilt)
+    lat = enumerate_submodules(module)
+    assert len(lat) == 11
+    for s in lat.subs:
+        assert s.bits == sum(1 << x for x in s.members)
+        assert all(type(x) is int for x in s.members)

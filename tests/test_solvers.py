@@ -15,7 +15,7 @@ from modgraph.solvers import (
     max_cliques,
 )
 
-from .oracles import brute_chromatic, brute_max_clique, brute_maximal_cliques
+from .oracles import brute_chromatic, brute_first_fit, brute_max_clique, brute_maximal_cliques
 
 
 def graph_from_edges(n, edges):
@@ -94,6 +94,29 @@ def test_solvers_match_brute_force(g):
 def test_greedy_coloring_always_proper(g):
     n, adj = g
     assert is_proper_coloring(n, adj, greedy_coloring(n, adj))
+
+
+@st.composite
+def small_graph(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return n, graph_from_edges(n, [p for p in pairs if draw(st.booleans())])
+
+
+@given(small_graph())
+@example((0, []))
+@example((1, [0]))
+@settings(max_examples=150, deadline=None)
+def test_greedy_coloring_is_first_fit(g):
+    n, adj = g
+    assert greedy_coloring(n, adj) == brute_first_fit(n, adj)
+
+
+def test_greedy_coloring_is_first_fit_on_zoo_and_census(named_contexts, family16_contexts):
+    for ctx in [*named_contexts, *family16_contexts]:
+        g = ctx.graph
+        for adj in (g.adj, g.complement_adj()):
+            assert greedy_coloring(g.n, adj) == brute_first_fit(g.n, adj), ctx.instance_id
 
 
 @given(random_graph(), st.data())
