@@ -6,7 +6,7 @@ that way; the value of these functions is that they share no code with the
 package.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def naive_closure(module, seed):
@@ -127,6 +127,44 @@ def brute_first_fit(n, adj):
             c += 1
         colors.append(c)
     return colors
+
+
+def brute_is_proper(n, adj, colors):
+    """No edge joins two vertices of one colour, by a scan over all vertex pairs."""
+    return all(colors[u] != colors[v] for u, v in combinations(range(n), 2) if (adj[u] >> v) & 1)
+
+
+def brute_subspaces(q, n):
+    """Every subspace of F_q^n (q prime), as a frozenset of coordinate
+    tuples, grown from {0} by spanning one more vector at a time."""
+    vectors = list(product(range(q), repeat=n))
+    start = frozenset([(0,) * n])
+    found = {start}
+    frontier = [start]
+    while frontier:
+        fresh = []
+        for s in frontier:
+            for v in vectors:
+                if v in s:
+                    continue
+                t = frozenset(tuple((a + c * b) % q for a, b in zip(x, v)) for x in s for c in range(q))
+                if t not in found:
+                    found.add(t)
+                    fresh.append(t)
+        frontier = fresh
+    return found
+
+
+def subspace_clique(q, n):
+    """Proper subspaces of F_q^n that meet pairwise beyond 0: every one of
+    dimension > n/2 and, for even n, every one of dimension n/2 through the
+    line of (1, 0, ..., 0).  A lower-bound witness for the clique number of
+    the intersection graph, not an upper bound."""
+    line = frozenset((c,) + (0,) * (n - 1) for c in range(q))
+    return [
+        s for s in brute_subspaces(q, n)
+        if len(s) < q ** n and (len(s) ** 2 > q ** n or (len(s) ** 2 == q ** n and line <= s))
+    ]
 
 
 def gaussian_binomial(n, k, q):

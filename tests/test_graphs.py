@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modgraph import solvers
 from modgraph.caps import Caps
 from modgraph.errors import StructureError
 from modgraph.fields import gf_build
@@ -20,9 +21,8 @@ from modgraph.graphs import (
 from modgraph.lattice import enumerate_submodules
 from modgraph.modules import direct_sum, regular_module
 from modgraph.rings import ring_from_field, ring_zmod
-from modgraph.solvers import is_proper_coloring
 
-from .oracles import brute_adjacency, brute_distances, brute_girth
+from .oracles import brute_adjacency, brute_distances, brute_girth, brute_is_proper, subspace_clique
 from .test_lattice import vector_space, zmod_sum
 from .test_solvers import PETERSEN, complete, cycle, graph_from_edges
 
@@ -204,6 +204,30 @@ def test_diameter_two_needs_no_eccentricity(monkeypatch):
     assert g.n == 372 and g.diameter() == 2
 
 
+def test_ladder_coloring_needs_no_search(monkeypatch):
+    # chi = omega and chi_c = omega_c, certified by a heuristic colouring alone
+    def colorable(*args):
+        raise AssertionError("chromatic_number fell back to backtracking")
+
+    monkeypatch.setattr(solvers, "_colorable", colorable)
+    caps = Caps(max_exact_vertices=256)
+    for module, chi, chi_c in ((vector_space(2, 1, 4), 22, 15), (zmod_sum(4, [4, 4, 4]), 92, 7)):
+        g = graph_of(module)
+        assert g.chromatic(caps)[0] == chi and g.complement_chromatic(caps)[0] == chi_c
+
+
+@pytest.mark.parametrize("q,dim,omega", [(2, 4, 22), (3, 4, 53), (2, 5, 186)])
+def test_max_clique_meets_the_subspace_clique(q, dim, omega):
+    # the subspace clique is a lower bound; the exact values are regression values
+    clique = subspace_clique(q, dim)
+    assert len(clique) == omega
+    assert all(len(a & b) > 1 for i, a in enumerate(clique) for b in clique[i + 1:])
+    g = graph_of(vector_space(q, 1, dim))
+    got, witness = solvers.max_clique(g.n, g.adj, Caps(max_exact_vertices=g.n))
+    assert got == omega == len(witness)
+    assert all((g.adj[u] >> v) & 1 for i, u in enumerate(witness) for v in witness[i + 1:])
+
+
 def test_girth_matches_path_oracle(named_contexts):
     for ctx in named_contexts:
         g = ctx.graph
@@ -257,7 +281,7 @@ def test_color_by_overline_on_triangular(triangular_f4):
     coloring = color_by_overline(g)
     assert isinstance(coloring, Coloring)
     assert coloring.count == 3 == g.clique_number()[0]
-    assert is_proper_coloring(g.n, g.adj, list(coloring.assignment))
+    assert brute_is_proper(g.n, g.adj, list(coloring.assignment))
 
 
 def test_color_by_overline_on_null_graph(f2_squared):
@@ -277,7 +301,7 @@ def test_uniform_clique_complement_coloring_cases(triangular_f4, z2_x_z4):
     got = color_complement_by_uniform_clique(g8)
     assert isinstance(got, Coloring)
     assert got.count == 1  # complement of a chain graph has no edges
-    assert is_proper_coloring(g8.n, g8.complement_adj(), list(got.assignment))
+    assert brute_is_proper(g8.n, g8.complement_adj(), list(got.assignment))
     gt = graph_of(triangular_f4)
     failed = color_complement_by_uniform_clique(gt)
     assert isinstance(failed, ApplicabilityFailure)

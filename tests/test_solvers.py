@@ -13,9 +13,16 @@ from modgraph.solvers import (
     is_proper_coloring,
     max_clique,
     max_cliques,
+    rlf_coloring,
 )
 
-from .oracles import brute_chromatic, brute_first_fit, brute_max_clique, brute_maximal_cliques
+from .oracles import (
+    brute_chromatic,
+    brute_first_fit,
+    brute_is_proper,
+    brute_max_clique,
+    brute_maximal_cliques,
+)
 
 
 def graph_from_edges(n, edges):
@@ -59,7 +66,7 @@ def test_known_graphs(name, n, adj, omega, chi):
     assert all((adj[u] >> v) & 1 for i, u in enumerate(witness) for v in witness[i + 1:])
     got_chi, colors = chromatic_number(n, adj, witness)
     assert got_chi == chi
-    assert is_proper_coloring(n, adj, colors)
+    assert brute_is_proper(n, adj, colors)
     assert len(set(colors)) == chi
 
 
@@ -85,15 +92,32 @@ def test_solvers_match_brute_force(g):
     assert all((adj[u] >> v) & 1 for i, u in enumerate(witness) for v in witness[i + 1:])
     chi, colors = chromatic_number(n, adj, witness)
     assert chi == brute_chromatic(n, adj)
-    assert is_proper_coloring(n, adj, colors)
+    assert brute_is_proper(n, adj, colors)
+    # the backtracking search on its own, which the heuristics usually make unnecessary
+    assert solvers._colorable(n, adj, chi - 1) is None
+    backtracked = solvers._colorable(n, adj, chi)
+    assert brute_is_proper(n, adj, backtracked) and max(backtracked) < chi
     assert sorted(max_cliques(n, adj)) == brute_maximal_cliques(n, adj)
 
 
 @given(random_graph())
 @settings(max_examples=60, deadline=None)
 def test_greedy_coloring_always_proper(g):
+    # every heuristic chromatic_number tries, with colours 0, 1, ... all used
     n, adj = g
-    assert is_proper_coloring(n, adj, greedy_coloring(n, adj))
+    for heuristic in (greedy_coloring, solvers._first_fit_by_degree, rlf_coloring):
+        colors = heuristic(n, adj)
+        assert len(colors) == n and brute_is_proper(n, adj, colors)
+        assert sorted(set(colors)) == list(range(max(colors) + 1))
+
+
+@given(random_graph(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_proper_coloring_matches_the_pair_scan(g, data):
+    # random colourings with few colours, so that many are improper
+    n, adj = g
+    colors = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    assert is_proper_coloring(n, adj, colors) == brute_is_proper(n, adj, colors)
 
 
 @st.composite
@@ -142,6 +166,31 @@ def test_max_clique_deeper_than_the_recursion_limit():
     assert max_clique(n, adj, Caps(max_exact_vertices=n)) == (n, list(range(n)))
 
 
+def test_max_cliques_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    full = (1 << n) - 1
+    adj = [full & ~(1 << v) for v in range(n)]
+    assert max_cliques(n, adj, Caps(max_exact_vertices=n)) == [list(range(n))]
+
+
+def test_colorable_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    path = graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    colors = solvers._colorable(n, path, 2)
+    assert colors is not None and brute_is_proper(n, path, colors)
+    assert solvers._colorable(3, complete(3), 2) is None
+
+
+def test_crown_graph_needs_two_colors():
+    # u_i ~ w_j for i != j, numbered u_0, w_0, u_1, w_1, ...: first-fit in
+    # index or degree order takes one colour per pair, 600 in all
+    n = 1200
+    adj = graph_from_edges(n, [(2 * i, 2 * j + 1) for i in range(n // 2) for j in range(n // 2) if i != j])
+    assert max(greedy_coloring(n, adj)) + 1 == n // 2
+    chi, colors = chromatic_number(n, adj, [0, 3], Caps(max_exact_vertices=n))
+    assert chi == 2 and brute_is_proper(n, adj, colors)
+
+
 def test_max_clique_matches_oracles_on_zoo_and_census(named_contexts, family16_contexts):
     # max_clique searches a degree-ordered renumbering; the value and the
     # witness, read back in the caller's numbering, must agree with
@@ -175,10 +224,13 @@ def test_vertex_cap_enforced():
 
 
 def test_improper_greedy_coloring_is_caught(monkeypatch):
-    # a coloring with fewer colors than the clique number must be improper
+    # fewer colours than the clique number, and as many colours as it
     monkeypatch.setattr(solvers, "greedy_coloring", lambda n, adj: [0] * n)
-    with pytest.raises(ConstructionError, match="omega > chi"):
+    with pytest.raises(ConstructionError, match="improper"):
         chromatic_number(4, complete(4), max_clique(4, complete(4))[1])
+    monkeypatch.setattr(solvers, "greedy_coloring", lambda n, adj: [v % 2 for v in range(n)])
+    with pytest.raises(ConstructionError, match="improper"):
+        chromatic_number(5, cycle(5), [0, 1])
 
 
 def test_deterministic_witnesses():
@@ -197,7 +249,7 @@ def test_chromatic_number_takes_its_lower_bound_from_the_caller(monkeypatch):
     # any clique is a valid lower bound; the answer stays exact
     for clique in ([0, 1], [3], []):
         chi, colors = chromatic_number(5, cycle(5), clique)
-        assert chi == 3 and is_proper_coloring(5, cycle(5), colors)
+        assert chi == 3 and brute_is_proper(5, cycle(5), colors)
     for not_a_clique in ([0, 2], [1, 1], [0, 5], [-1]):
         with pytest.raises(ConstructionError, match="not a clique"):
             chromatic_number(5, cycle(5), not_a_clique)
