@@ -3,11 +3,11 @@
 Vertices are the nontrivial submodules in canonical lattice order; two
 vertices are adjacent exactly when their intersection is nonzero, that is,
 when they share a nonzero element.  So the adjacency is built by element
-incidence: one pass over the members records, for each element, the bitset
-of vertices holding it, and a vertex's row is the OR of those bitsets over
-its nonzero elements, sum |N_i| ORs in all instead of a test per vertex
-pair.  Walks run on the adjacency bitsets a whole frontier at a time (one
-step ORs the masks of every frontier vertex), which gives connectivity.
+incidence: the lattice records, for each element, the bitset of members
+holding it, and a vertex's row is the OR of those bitsets over its nonzero
+elements, sum |N_i| ORs in all instead of a test per vertex pair.  Walks
+run on the adjacency bitsets a whole frontier at a time (one step ORs the
+masks of every frontier vertex), which gives connectivity.
 The diameter first tests "diameter <= 2" directly: for each vertex, OR the
 rows of its neighbours, highest degree first, until every vertex is
 reached; only when some vertex falls short (diameter >= 3, a disconnected
@@ -71,13 +71,10 @@ class IntersectionGraph:
         self.lattice_pos = tuple(lattice.nontrivial_indices())
         self.vertices = tuple(lattice.subs[i] for i in self.lattice_pos)
         self.n = len(self.vertices)
-        # holders[x]: the vertices containing element x, none for x = 0
-        holders = [0] * self.module.size
-        for i, sub in enumerate(self.vertices):
-            bit = 1 << i
-            for x in sub.members:
-                holders[x] |= bit
-        holders[0] = 0
+        # holders[x]: the vertices containing element x, none for x = 0; vertex
+        # v is lattice member v + 1, as canonical order puts 0 first and M last
+        mask = (1 << self.n) - 1
+        holders = [0] + [h >> 1 & mask for h in lattice._holders[1:]]
         self.adj = [
             reduce(or_, map(holders.__getitem__, sub.members)) & ~(1 << i)
             for i, sub in enumerate(self.vertices)
@@ -197,10 +194,19 @@ class IntersectionGraph:
                 queue = nxt
         return best
 
+    def triangle(self) -> tuple[int, int, int] | None:
+        """(u, v, w) for the first edge u-v whose ends share a neighbour w, else None."""
+        adj = self.adj
+        for u in range(self.n):
+            for v in iter_bits(adj[u]):
+                common = adj[u] & adj[v]
+                if common:
+                    return u, v, (common & -common).bit_length() - 1
+        return None
+
     def is_triangle_free(self) -> bool:
         """No edge whose ends have a common neighbour."""
-        adj = self.adj
-        return not any(adj[i] & adj[j] for i in range(self.n) for j in iter_bits(adj[i]))
+        return self.triangle() is None
 
     # -- shapes --------------------------------------------------------------
 

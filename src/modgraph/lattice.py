@@ -13,9 +13,9 @@ bounded, and each member's bitset and member tuple go to its `Submodule`
 as found.  The canonical order is (size, member tuple), and all vertex
 numbering downstream derives from it.
 
-Each lattice computes its order kernel (containment and cover bitsets over
-lattice indices, heights) once, on first use, from the (S, x) that first
-gave each member N = S + Rx, with no pairwise comparison of members.
+Each lattice computes its order kernel once, on first use: the up-sets,
+from the (S, x) that first gave each member N = S + Rx with no pairwise
+comparison of members, and heights, levels and atoms from the up-sets.
 Quotient and section facts are read off it as intervals: by the
 correspondence theorem Lat(B/A) is the interval [A, B], so no quotient
 module is built and no lattice is enumerated again to answer them.
@@ -39,6 +39,7 @@ as the intersection of the maximal left ideals).
 from __future__ import annotations
 
 from functools import cached_property, reduce
+from operator import or_
 from typing import NamedTuple
 
 import numpy as np
@@ -57,15 +58,15 @@ from .solvers import iter_bits
 
 
 class _Order(NamedTuple):
-    """Order kernel over lattice indices: down[i]/up[i] are bitsets of the
-    indices below/above i (inclusive), lower[i]/upper[i] those of its
-    lower/upper covers, heights[i] the longest chain from 0 to i."""
+    """Order kernel as bitsets over lattice indices: up[i] holds the members
+    above i (i included), heights[i] is the longest chain from 0 to i,
+    levels[k] holds the members of height k (one empty level past l(M)) and
+    atoms_below[i] the atoms inside i.  Modularity puts covers one level up."""
 
-    down: list[int]
     up: list[int]
-    lower: list[int]
-    upper: list[int]
     heights: list[int]
+    levels: list[int]
+    atoms_below: list[int]
 
 
 class Lattice:
@@ -85,6 +86,7 @@ class Lattice:
         self.full_index = self._pos[(1 << module.size) - 1]
         self._homs: dict[tuple[int, int], int] = {}
         self._gens: dict[int, tuple[int, ...]] = {}
+        self._downs: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.subs)
@@ -148,51 +150,51 @@ class Lattice:
             if i != self.zero_index:
                 parent, x = self._parents[s.bits]
                 up[i] = up[pos[parent]] & holders[x]
-        down = [0] * n
+        # every member below i comes before i, so reach[k], the members
+        # strictly above one of height k, is complete when the walk gets to i
+        heights, reach, levels = [0] * n, [], [0]
         for i, u in enumerate(up):
-            bit = 1 << i
-            for j in iter_bits(u):
-                down[j] |= bit
-        # Submodule lattices are modular, so every maximal chain from 0 to i
-        # has the same length (Jordan-Dedekind).  The last member strictly
-        # below i in canonical order is a largest one, hence maximal in i,
-        # and the lower covers of i are the members below it one level down.
-        heights, levels = [0] * n, [0] * (n + 1)
-        for i, d in enumerate(down):
-            strict = d ^ (1 << i)
-            if strict:
-                heights[i] = heights[strict.bit_length() - 1] + 1
-            levels[heights[i]] |= 1 << i
-        lower = [d & levels[h - 1] if h else 0 for d, h in zip(down, heights)]
-        upper = [u & levels[h + 1] for u, h in zip(up, heights)]
-        return _Order(down, up, lower, upper, heights)
+            k = len(reach)
+            while k and not reach[k - 1] >> i & 1:
+                k -= 1
+            if k == len(reach):
+                reach.append(0)
+                levels.append(0)
+            heights[i] = k
+            reach[k] |= u ^ (1 << i)
+            levels[k] |= 1 << i
+        # an atom is Rx for each of its nonzero x, and Rx is the first holder
+        # of x, so an atom lies in a member when one of its nonzero elements does
+        atom_of = [h & -h & levels[1] for h in holders]
+        atoms_below = [reduce(or_, map(atom_of.__getitem__, s.members)) for s in self.subs]
+        return _Order(up, heights, levels, atoms_below)
+
+    def _down(self, hi: int) -> int:
+        """Bitset of the members inside hi: those holding no element outside it."""
+        if hi not in self._downs:
+            bits, holders = self.subs[hi].bits, self._holders
+            outside = (holders[x] for x in range(self.module.size) if not bits >> x & 1)
+            self._downs[hi] = ((1 << len(self.subs)) - 1) ^ reduce(or_, outside, 0)
+        return self._downs[hi]
 
     @cached_property
     def longest_chains(self) -> tuple[list[int], list[int]]:
-        """(chain_down, chain_up): the longest chain from 0 to each member and
-        from each member to M, read off the containment bitsets alone, never
-        off the kernel's heights or covers, so that C3 can test those.
-
-        Canonical order lists every member strictly below a member before
-        it, so members are walked in that order for chains down and in
-        reverse for chains up.  levels[k] holds the members done so far with
-        value k, and a member's value is one more than the highest level
-        meeting its strict down-set (up-set): at most l(M) + 1 ANDs each."""
-
-        def longest(sets: list[int], walk: range) -> list[int]:
-            values, levels = [0] * len(sets), []
-            for i in walk:
-                strict, k = sets[i] ^ (1 << i), len(levels)
-                while k and not levels[k - 1] & strict:
-                    k -= 1
-                values[i] = k
-                if k == len(levels):
-                    levels.append(0)
-                levels[k] |= 1 << i
-            return values
-
-        n, order = len(self.subs), self._order
-        return longest(order.down, range(n)), longest(order.up, range(n - 1, -1, -1))
+        """(chain_down, chain_up): the longest chain from 0 to each member,
+        which is the kernel height, and from each member to M.  Members are
+        walked in reverse canonical order, and levels[k] holds those done so
+        far with chain_up k: a member's chain_up is one more than the highest
+        level meeting its strict up-set, at most l(M) + 1 ANDs each."""
+        order = self._order
+        chain_up, levels = [0] * len(order.up), []
+        for i in reversed(range(len(order.up))):
+            strict, k = order.up[i] ^ (1 << i), len(levels)
+            while k and not levels[k - 1] & strict:
+                k -= 1
+            chain_up[i] = k
+            if k == len(levels):
+                levels.append(0)
+            levels[k] |= 1 << i
+        return order.heights, chain_up
 
     # -- structural predicates ------------------------------------------
 
@@ -200,21 +202,21 @@ class Lattice:
         return [i for i in range(len(self.subs)) if i != self.zero_index and i != self.full_index]
 
     def atom_indices(self) -> list[int]:
-        return list(iter_bits(self._order.upper[self.zero_index]))
+        return list(iter_bits(self._order.levels[1]))
 
     def maximal_indices(self) -> list[int]:
-        return list(iter_bits(self._order.lower[self.full_index]))
+        return list(iter_bits(self._order.levels[self.composition_length() - 1]))
 
     def is_simple(self, i: int) -> bool:
-        return bool((self._order.upper[self.zero_index] >> i) & 1)
+        return self._order.heights[i] == 1
 
     def is_maximal(self, i: int) -> bool:
-        return bool((self._order.lower[self.full_index] >> i) & 1)
+        return self._order.heights[i] == self.composition_length() - 1
 
     def simple_complement(self, i: int) -> int | None:
         """First atom S with S meet N_i = 0 and S join N_i = M, if any."""
         order = self._order
-        for a in iter_bits(order.upper[self.zero_index] & ~order.down[i]):
+        for a in iter_bits(order.levels[1] & ~order.atoms_below[i]):
             if self.join_index(a, i) == self.full_index:
                 return a
         return None
@@ -223,25 +225,28 @@ class Lattice:
     # every atom" and uniform means "exactly one atom below"
 
     def is_essential(self, i: int) -> bool:
-        return self._order.upper[self.zero_index] & ~self._order.down[i] == 0
+        return self._order.atoms_below[i] == self._order.levels[1]
 
     def is_uniform(self, i: int) -> bool:
-        return len(self.covers_in(self.zero_index, i)) == 1
+        return self._order.atoms_below[i].bit_count() == 1
 
     def is_chain(self) -> bool:
-        everything = (1 << len(self.subs)) - 1
-        return all(d | u == everything for d, u in zip(self._order.down, self._order.up))
+        return len(self.subs) == self.composition_length() + 1
 
     # -- intervals: Lat(hi/lo) is [lo, hi] ---------------------------------
 
     def interval_size(self, lo: int, hi: int) -> int:
         """|[lo, hi]|, the number of submodules of hi/lo."""
-        return (self._order.up[lo] & self._order.down[hi]).bit_count()
+        return (self._order.up[lo] & self._down(hi)).bit_count()
 
     def covers_in(self, lo: int, hi: int) -> list[int]:
         """Covers of lo inside [lo, hi]; A/lo for these A are the simple
         submodules of hi/lo."""
-        return list(iter_bits(self._order.upper[lo] & self._order.down[hi]))
+        order = self._order
+        if lo == self.zero_index:
+            return list(iter_bits(order.atoms_below[hi]))
+        covers = order.up[lo] & order.levels[order.heights[lo] + 1]
+        return list(iter_bits(covers if hi == self.full_index else covers & self._down(hi)))
 
     # -- socle, length, Goldie dimension ---------------------------------
 
@@ -288,9 +293,7 @@ class Lattice:
         kept: list[int] = []
         acc = self.zero_index
         for i in range(len(self.subs)):
-            if self.subs[i].size == 1 or not self.is_uniform(i):
-                continue
-            if self.subs[i].bits & self.subs[acc].bits == 1:
+            if self.is_uniform(i) and self.subs[i].bits & self.subs[acc].bits == 1:
                 kept.append(i)
                 acc = self.join_index(acc, i)
         if kept and not self.is_essential(acc):

@@ -267,6 +267,26 @@ def brute_endomorphism_count(sub):
     return count
 
 
+def brute_hom_count(s, t):
+    """#Hom(S, T) for a cyclic submodule S and a submodule T over one ring:
+    for a generator x of S, the number of t in T for which r*x -> r*t is
+    well defined.  Each such map is additive and R-linear, and each hom is
+    one of them, fixed by the image of x."""
+    ring_size = s.module.ring.size
+    act_s, act_t = s.module.act, t.module.act
+    x = next(x for x in s.members if {int(act_s[r, x]) for r in range(ring_size)} == set(s.members))
+    count = 0
+    for y in t.members:
+        image = {}
+        for r in range(ring_size):
+            src, dst = int(act_s[r, x]), int(act_t[r, y])
+            if image.setdefault(src, dst) != dst:
+                break
+        else:
+            count += 1
+    return count
+
+
 def brute_girth(n, adj):
     """Shortest cycle by DFS over simple paths (small graphs only)."""
     best = [float("inf")]

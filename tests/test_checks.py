@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from modgraph import graphs, lattice
+from modgraph import checks, graphs, lattice
 from modgraph.checks import (
     ALL_CHECKS,
     APPLICABILITY_FAILED,
@@ -24,6 +24,7 @@ from modgraph.checks import (
     reports_to_jsonl,
     run_suite,
 )
+from modgraph.specs import build_instance, make_spec
 from modgraph.zoo import InstanceContext
 
 
@@ -128,6 +129,28 @@ def test_c9_ring_cases(ctx_by_id):
     assert semi.details["ring_case"] == "semisimple-pair"
     z12 = check_triangle_free(ctx_by_id["zmod(12)/regular"])
     assert z12.status == PASS and z12.details["case"] is None
+
+
+def test_c9_runs_past_the_exact_vertex_cap():
+    # the triangle scan is a bit test on the adjacency rows, not a clique
+    # search, so the 372 vertices of F2^5 do not skip C9 under the default caps
+    module = {"kind": "regular"}
+    for _ in range(4):
+        module = {"kind": "direct_sum", "left": module, "right": {"kind": "regular"}}
+    ctx = InstanceContext(build_instance(make_spec({"kind": "gf", "p": 2, "k": 1}, module)))
+    (report,), _ = run_suite([ctx], ["C9-triangle-free"])
+    assert ctx.graph.n == 372
+    assert report.status == PASS and report.details["triangle_free"] is False
+
+
+def test_c9_fail_witness_is_the_triangle_found(monkeypatch, ctx_by_id):
+    ctx = ctx_by_id["zmod(12)/regular"]
+    monkeypatch.setattr(checks, "_module_trichotomy", lambda ctx: ("chain", {}))
+    report = check_triangle_free(ctx)
+    g, tri = ctx.graph, ctx.graph.triangle()
+    assert all(g.adj[u] >> v & 1 for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])))
+    labels = ", ".join(g.vertex_label(v) for v in tri)
+    assert report.status == FAIL and report.witness == f"case chain claimed but triangle exists: {labels}"
 
 
 def test_c10_connectivity(ctx_by_id):

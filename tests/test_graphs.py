@@ -189,8 +189,9 @@ def test_f2_fourth_power_closed_forms():
 
 def test_adjacency_matches_pairwise_oracle(named_contexts, family16_contexts):
     graphs = [ctx.graph for ctx in [*named_contexts, *family16_contexts]]
-    graphs += [graph_of(m) for m in (vector_space(2, 1, 4), zmod_sum(4, [4, 4, 4]), vector_space(3, 1, 4))]
-    assert [g.n for g in graphs[-3:]] == [65, 127, 210]
+    ladder = (vector_space(2, 1, 4), zmod_sum(4, [4, 4, 4]), vector_space(3, 1, 4), vector_space(2, 1, 1))
+    graphs += [graph_of(m) for m in ladder]
+    assert [g.n for g in graphs[-4:]] == [65, 127, 210, 0]  # F2 is simple: no vertices
     for g in graphs:
         assert g.adj == brute_adjacency([sub.members for sub in g.vertices])
 

@@ -27,6 +27,7 @@ from modgraph.rings import ring_from_field, ring_zmod
 
 from .oracles import (
     brute_covers,
+    brute_hom_count,
     brute_longest_chain,
     brute_order,
     brute_submodules_grow,
@@ -74,10 +75,16 @@ def _built_sections(ctx):
 def test_section_hom_count_matches_built_sections(named_contexts, family16_contexts):
     pairs = 0
     for ctx in _contexts(named_contexts, family16_contexts):
-        subs = ctx.lattice.subs
+        lat = ctx.lattice
+        subs, zero = lat.subs, lat.subs[lat.zero_index]
         built = _built_sections(ctx)
         assert all(is_simple_module(x) for _, x in built), ctx.instance_id
         for (b, a), x in built:
+            # #Hom(A/B, T) into every atom T, against the package-free oracle
+            whole = Submodule(x, range(x.size))
+            for t in lat.atom_indices():
+                got = section_hom_count(subs[a], subs[b], subs[t], zero)
+                assert got == brute_hom_count(whole, subs[t]), (ctx.instance_id, (b, a), t)
             for (d, c), y in built:
                 if x.size != y.size:  # only the zero hom; no isomorphism to count
                     continue
@@ -109,7 +116,8 @@ def test_order_kernel_matches_brute_force(build):
     lat = enumerate_submodules(module)
     subsets = brute_submodules_grow(module)
     assert [s.members for s in lat.subs] == subsets  # one canonical order
-    assert tuple(lat._order) == brute_order(subsets)
+    _, up, _, _, heights = brute_order(subsets)
+    assert (lat._order.up, lat._order.heights) == (up, heights)
     n, zero, full = len(subsets), 0, len(subsets) - 1
     covers = brute_covers(subsets)
     assert sorted((i, j) for i in range(n) for j in lat.covers_in(i, full)) == covers
@@ -143,7 +151,25 @@ def test_order_kernel_matches_brute_force(build):
         assert lat.simple_complement(lo) == want
 
 
+def _bits(mask):
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
 def test_order_kernel_matches_brute_order_on_zoo_and_census(named_contexts, family16_contexts):
     for ctx in _contexts(named_contexts, family16_contexts):
-        lat = ctx.lattice
-        assert tuple(lat._order) == brute_order([s.members for s in lat.subs]), ctx.instance_id
+        lat, cid = ctx.lattice, ctx.instance_id
+        down, up, lower, upper, heights = brute_order([s.members for s in lat.subs])
+        assert (lat._order.up, lat._order.heights) == (up, heights), cid
+        zero, full = lat.zero_index, lat.full_index
+        atoms = upper[zero]
+        assert lat.atom_indices() == _bits(atoms), cid
+        assert lat.maximal_indices() == _bits(lower[full]), cid
+        for i in range(len(lat)):
+            assert lat.covers_in(i, full) == _bits(upper[i]), (cid, i)
+            below = atoms & down[i]
+            assert lat.is_uniform(i) == (below.bit_count() == 1), (cid, i)
+            assert lat.is_essential(i) == (below == atoms), (cid, i)
+            # an atom outside i meets it in 0, and is a complement of i when
+            # M is the only member above both
+            want = next((a for a in _bits(atoms & ~down[i]) if up[a] & up[i] == 1 << full), None)
+            assert lat.simple_complement(i) == want, (cid, i)

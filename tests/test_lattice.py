@@ -30,6 +30,7 @@ from .oracles import (
     abelian_p_group_subgroup_count,
     brute_endomorphism_count,
     brute_goldie,
+    brute_hom_count,
     brute_greedy_generators,
     brute_socle_pair,
     brute_submodules_grow,
@@ -155,13 +156,17 @@ def test_order_kernel_closed_forms_on_vector_spaces(q, d):
     # a k-dimensional subspace of F_q^d has height k, one upper cover per
     # line of the quotient F_q^(d-k) and one lower cover per hyperplane
     lat = enumerate_submodules(vector_space(q, 1, d))
-    order = lat._order
+    upper = [lat.covers_in(i, lat.full_index) for i in range(len(lat))]
+    lower = [0] * len(lat)
+    for covers in upper:
+        for j in covers:
+            lower[j] += 1
     dims = {q**k: k for k in range(d + 1)}
     for i, sub in enumerate(lat.subs):
         k = dims[sub.size]
-        assert order.heights[i] == k
-        assert order.upper[i].bit_count() == (q ** (d - k) - 1) // (q - 1)
-        assert order.lower[i].bit_count() == (q**k - 1) // (q - 1)
+        assert lat.chain_lengths()[i] == k
+        assert len(upper[i]) == (q ** (d - k) - 1) // (q - 1)
+        assert lower[i] == (q**k - 1) // (q - 1)
 
 
 def test_essential_uniform_predicates():
@@ -262,14 +267,16 @@ def test_endomorphism_count_against_full_map_check(named_contexts):
 
 def test_hom_count_matches_the_validated_free_function(named_contexts, family16_contexts):
     # Lattice.hom_count trusts the order kernel's atoms; hom_count_simples
-    # re-proves simplicity and is the reference on every ordered atom pair
+    # re-proves simplicity, and brute_hom_count tests every candidate map
+    # without the package, on every ordered atom pair
     pairs = 0
     for ctx in [*named_contexts, *family16_contexts]:
         lat = ctx.lattice
         atoms = lat.atom_indices()
         for a in atoms:
             for b in atoms:
-                assert lat.hom_count(a, b) == hom_count_simples(lat.subs[a], lat.subs[b]), ctx.instance_id
+                want = brute_hom_count(lat.subs[a], lat.subs[b])
+                assert lat.hom_count(a, b) == hom_count_simples(lat.subs[a], lat.subs[b]) == want, ctx.instance_id
                 pairs += 1
             if lat.subs[a].size <= 9:
                 assert lat.hom_count(a, a) == brute_endomorphism_count(lat.subs[a]), ctx.instance_id
