@@ -37,6 +37,7 @@ from .lattice import (
 )
 from .modules import Submodule, regular_module
 from .rings import quotient_ring, ring_from_field
+from .solvers import iter_bits
 from .zoo import InstanceContext
 
 PASS = "PASS"
@@ -67,8 +68,32 @@ class CheckReport:
 # -- shared structural helpers -------------------------------------------------
 
 
-def _vertex_of(graph: IntersectionGraph, lat_index: int) -> int | None:
-    return lat_index - 1 if 0 < lat_index <= graph.n else None
+def _module_case(lat: Lattice) -> tuple[str | None, int | None]:
+    """(case, pair_iso): the shape of M that the classifications single out.
+    case is "chain" (a chain of length at most 3), "semisimple-pair" (the
+    socle is a direct pair of simples and equals M), "socle-maximal" (such a
+    socle is the only maximal submodule) or None.  pair_iso is
+    #Hom(S, S') - 1 for the socle pair when the socle has length 2, else None."""
+    pair = lat.socle_pair
+    pair_iso = None if pair is None else lat.hom_count(*pair) - 1
+    if lat.is_chain() and lat.composition_length() <= 3:
+        return "chain", pair_iso
+    if pair is not None:
+        soc = lat.socle_index()
+        if soc == lat.full_index:
+            return "semisimple-pair", pair_iso
+        if lat.maximal_indices() == [soc]:
+            return "socle-maximal", pair_iso
+    return None, pair_iso
+
+
+def _small_degree_maximals(g: IntersectionGraph, lat: Lattice) -> list[int]:
+    """Vertices of the maximal submodules T with deg(T) < deg_c(T); vertex v
+    of the graph is lattice member v + 1."""
+    return [
+        i - 1 for i in lat.maximal_indices()
+        if 0 < i <= g.n and g.degree(i - 1) < g.complement_degree(i - 1)
+    ]
 
 
 # -- C1: order of the graph of a direct pair of simples -------------------------
@@ -76,10 +101,10 @@ def _vertex_of(graph: IntersectionGraph, lat_index: int) -> int | None:
 
 def check_pair_count(ctx: InstanceContext) -> CheckReport:
     lat = ctx.lattice
-    pair = lat.socle_pair
-    if pair is None or lat.socle_index() != lat.full_index:
+    case, iso = _module_case(lat)
+    if case != "semisimple-pair":
         return CheckReport("C1-pair-count", ctx.instance_id, VACUOUS)
-    iso = lat.hom_count(*pair) - 1
+    pair = lat.socle_pair
     alpha = ctx.graph.n
     details = {"iso_count": iso, "alpha": alpha}
     ok = alpha == iso + 2
@@ -98,22 +123,6 @@ def check_pair_count(ctx: InstanceContext) -> CheckReport:
 # -- C2: degree-0 and degree-1 classification ----------------------------------
 
 
-def _star_structure(lat: Lattice) -> tuple[bool, int | None]:
-    """Classification of star graphs: either exactly two nested nontrivial
-    submodules, or the socle is a direct pair of simples and the unique
-    maximal submodule.  Returns (matches, predicted order or None)."""
-    nontrivial = lat.nontrivial_indices()
-    if len(nontrivial) == 2:
-        a, b = nontrivial
-        if lat.leq(a, b) or lat.leq(b, a):
-            return True, 2
-    soc = lat.socle_index()
-    if lat.socle_pair is not None and soc != lat.full_index and lat.maximal_indices() == [soc]:
-        iso = lat.hom_count(*lat.socle_pair) - 1
-        return True, iso + 3
-    return False, None
-
-
 def check_low_degree(ctx: InstanceContext) -> CheckReport:
     g, lat = ctx.graph, ctx.lattice
     cid = "C2-low-degree"
@@ -121,13 +130,11 @@ def check_low_degree(ctx: InstanceContext) -> CheckReport:
         return CheckReport(cid, ctx.instance_id, VACUOUS)
     details: dict = {}
 
-    def deg0_structure(v: int) -> bool:
-        if g.n == 1:
-            return True
-        return g.vertex_is_simple(v) and lat.simple_complement(g.lattice_pos[v]) is not None
-
     deg0 = {v for v in range(g.n) if g.degree(v) == 0}
-    pred0 = {v for v in range(g.n) if deg0_structure(v)}
+    pred0 = {
+        v for v in range(g.n)
+        if g.n == 1 or g.vertex_is_simple(v) and lat.simple_complement(v + 1) is not None
+    }
     if deg0 != pred0:
         bad = sorted(deg0 ^ pred0)[0]
         return CheckReport(
@@ -139,24 +146,28 @@ def check_low_degree(ctx: InstanceContext) -> CheckReport:
     deg1 = [v for v in range(g.n) if g.degree(v) == 1]
     for v in deg1:
         u = g.adj[v].bit_length() - 1
-        vb, ub = g.vertices[v].bits, g.vertices[u].bits
-        if vb & ub not in (vb, ub):
+        inner, outer = lat.leq(u + 1, v + 1), lat.leq(v + 1, u + 1)
+        if not (inner or outer):
             return CheckReport(
                 cid, ctx.instance_id, FAIL,
                 f"unique neighbour of {g.vertex_label(v)} is not comparable",
             )
-        if ub & vb == ub and ub != vb and g.n != 2:
+        if inner and g.n != 2:
             return CheckReport(
                 cid, ctx.instance_id, FAIL,
                 f"inner unique neighbour at {g.vertex_label(v)} but more than two vertices",
             )
-        if vb & ub == vb and not g.vertex_is_simple(v):
+        if outer and not g.vertex_is_simple(v):
             return CheckReport(
                 cid, ctx.instance_id, FAIL,
                 f"degree-1 vertex {g.vertex_label(v)} below its neighbour is not simple",
             )
+    # stars are the chains of length 3 and the socle pairs that are the only
+    # maximal submodule
     star = g.is_star_graph()
-    structure, predicted = _star_structure(lat)
+    case, iso = _module_case(lat)
+    structure = case == "socle-maximal" or case == "chain" and lat.composition_length() == 3
+    predicted = iso + 3 if case == "socle-maximal" else 2
     details.update({"has_degree_1": bool(deg1), "star": star})
     if star != structure:
         return CheckReport(cid, ctx.instance_id, FAIL, "star classification mismatch", details)
@@ -205,10 +216,7 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
     g, lat = ctx.graph, ctx.lattice
     cid = "C4-small-degree-maximal"
     cands, degenerate = [], []
-    for li in lat.maximal_indices():
-        v = _vertex_of(g, li)
-        if v is None or g.degree(v) >= g.complement_degree(v):
-            continue
+    for v in _small_degree_maximals(g, lat):
         # the statement's argument needs a second complement of T, so the
         # finite hypothesis is deg(T) < deg_c(T) with deg_c(T) >= 2; a lone
         # complement admits non-isomorphic two-simple sums
@@ -225,8 +233,7 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
     if degenerate:
         details["degenerate_complement"] = degenerate
     for v in cands:
-        t_lat = g.lattice_pos[v]
-        t_sub = lat.subs[t_lat]
+        t_lat = v + 1
         dt, dtc = g.degree(v), g.complement_degree(v)
         item = {"deg": dt, "deg_c": dtc}
         details[g.vertex_label(v)] = item
@@ -266,13 +273,12 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
         if lat.join_index(sp_lat, s_lat) != soc or not lat.is_essential(soc):
             return fail("socle is not the essential direct pair")
         # (2)(ii) submodules meeting T stay inside it or split off S
-        for i in lat.nontrivial_indices():
-            nb = lat.subs[i].bits
-            if nb & t_sub.bits == 1 or nb & t_sub.bits == nb:
+        for u in iter_bits(g.adj[v]):
+            if lat.leq(u + 1, t_lat):
                 continue
-            mt = lat.meet_index(i, g.lattice_pos[v])
-            if lat.join_index(mt, s_lat) != i:
-                return fail(f"N={lat.describe(i)} neither inside T nor (N&T)+S")
+            mt = lat.meet_index(u + 1, t_lat)
+            if lat.join_index(mt, s_lat) != u + 1:
+                return fail(f"N={lat.describe(u + 1)} neither inside T nor (N&T)+S")
         # (2)(iii) recorded under both counting conventions; |G(X/Y)| is
         # |[Y, X]| - 2 (here and below Y < X, so the interval has two ends)
         g_mod_sp = lat.interval_size(sp_lat, lat.full_index) - 2
@@ -324,7 +330,7 @@ def check_structured_shapes(ctx: InstanceContext) -> CheckReport:
     # the socle is also a maximal left ideal here (it has prime index and is
     # essential, so its degree is alpha-1); the classification's T is the
     # unique maximal left ideal below full degree
-    maximals = [_vertex_of(g, li) for li in lat.maximal_indices()]
+    maximals = [i - 1 for i in lat.maximal_indices()]
     small = [v for v in maximals if g.degree(v) < g.n - 1]
     details["maximal_count"] = len(maximals)
     if len(small) != 1:
@@ -335,10 +341,8 @@ def check_structured_shapes(ctx: InstanceContext) -> CheckReport:
     t_vertex = small[0]
     dt = g.degree(t_vertex)
     details["strict_degree_gap"] = dt < g.complement_degree(t_vertex)
-    zero_meets = [
-        v for v in range(g.n)
-        if v != t_vertex and g.vertices[v].bits & g.vertices[t_vertex].bits == 1
-    ]
+    # the vertices meeting T in 0 are its non-neighbours
+    zero_meets = list(iter_bits((1 << g.n) - 1 & ~g.adj[t_vertex] & ~(1 << t_vertex)))
     details.update({"deg_T": dt, "zero_meet_count": len(zero_meets)})
     ok = (
         dt == 2 * frak_n == 2
@@ -346,10 +350,7 @@ def check_structured_shapes(ctx: InstanceContext) -> CheckReport:
         and g.n == q + 3
         and len(zero_meets) == q
         and all(g.vertex_is_simple(v) for v in zero_meets)
-        and all(
-            lat.join_index(g.lattice_pos[v], g.lattice_pos[t_vertex]) == lat.full_index
-            for v in zero_meets
-        )
+        and all(lat.join_index(v + 1, t_vertex + 1) == lat.full_index for v in zero_meets)
     )
     witness = None if ok else "triangular shape contract failed"
     return CheckReport(cid, ctx.instance_id, PASS if ok else FAIL, witness, details)
@@ -359,38 +360,31 @@ def check_structured_shapes(ctx: InstanceContext) -> CheckReport:
 
 
 def check_socle_cliques(ctx: InstanceContext) -> CheckReport:
+    """Vertices N outside the socle have simple traces N & Soc(M), equal when
+    they meet, and the maximal cliques are the overlines.  Soc(N) = N & Soc(M),
+    so the trace is simple exactly when N is uniform, and is then N's one atom."""
     cid = "C6-socle-cliques"
     g, lat = ctx.graph, ctx.lattice
     structure = homogeneous_socle_pair(lat)
     if structure is None:
         return CheckReport(cid, ctx.instance_id, VACUOUS)
-    soc_idx = structure["socle"]
-    soc_bits = lat.subs[soc_idx].bits
     details: dict = {}
-    atom_set = set(lat.atom_indices())
-    outside = [v for v in range(g.n) if g.vertices[v].bits & soc_bits != soc_bits]
-    for v in outside:
-        if lat.meet_index(g.lattice_pos[v], soc_idx) not in atom_set:
+    outside = (1 << g.n) - 1 & ~g.vertices_of(lat.above(structure["socle"]))
+    for v in iter_bits(outside):
+        if not g.vertex_is_uniform(v):
             return CheckReport(
                 cid, ctx.instance_id, FAIL,
                 f"socle trace of {g.vertex_label(v)} is not simple",
             )
-    for i, v1 in enumerate(outside):
-        for v2 in outside[i + 1:]:
-            b1, b2 = g.vertices[v1].bits, g.vertices[v2].bits
-            if b1 & b2 == 1:
-                continue
-            if b1 & soc_bits != b2 & soc_bits:
-                return CheckReport(
-                    cid, ctx.instance_id, FAIL,
-                    f"intersecting pair with distinct socle traces: "
-                    f"{g.vertex_label(v1)}, {g.vertex_label(v2)}",
-                )
-    for v in range(g.n):
-        if g.vertices[v].bits & soc_bits != soc_bits and not g.vertex_is_uniform(v):
+    for v in iter_bits(outside):
+        (atom,) = lat.covers_in(lat.zero_index, v + 1)
+        # the outside vertices u > v meeting v and not containing its atom
+        other = g.adj[v] & outside & ~g.vertices_of(lat.above(atom)) & ~((2 << v) - 1)
+        if other:
             return CheckReport(
                 cid, ctx.instance_id, FAIL,
-                f"{g.vertex_label(v)} neither contains the socle nor is uniform",
+                f"intersecting pair with distinct socle traces: "
+                f"{g.vertex_label(v)}, {g.vertex_label((other & -other).bit_length() - 1)}",
             )
     got = {frozenset(c) for c in g.maximal_cliques(ctx.caps)}
     want = {frozenset(g.overline(a)) for a in g.simple_vertices()}
@@ -458,21 +452,6 @@ def check_complement_coloring(ctx: InstanceContext) -> CheckReport:
 # -- C9: triangle-free classification ----------------------------------------------
 
 
-def _module_trichotomy(ctx: InstanceContext) -> tuple[str | None, dict]:
-    lat = ctx.lattice
-    details: dict = {}
-    if lat.is_chain() and lat.composition_length() <= 3:
-        return "chain", details
-    soc = lat.socle_index()
-    if lat.socle_pair is not None:
-        details["pair_iso"] = lat.hom_count(*lat.socle_pair) - 1
-        if soc == lat.full_index:
-            return "semisimple-pair", details
-        if lat.maximal_indices() == [soc]:
-            return "socle-maximal", details
-    return None, details
-
-
 def _ring_trichotomy(ctx: InstanceContext) -> tuple[str | None, dict]:
     lat = ctx.lattice
     details: dict = {}
@@ -530,8 +509,10 @@ def check_triangle_free(ctx: InstanceContext) -> CheckReport:
     if tri and not all(g.adj[u] >> v & 1 for u, v in combinations(tri, 2)):
         return CheckReport(cid, ctx.instance_id, FAIL, f"triangle scan gave a non-triangle: {labels}")
     tf_scan = tri is None
-    case, details = _module_trichotomy(ctx)
-    details["case"] = case
+    case, pair_iso = _module_case(lat)
+    details: dict = {"case": case}
+    if pair_iso is not None:
+        details["pair_iso"] = pair_iso
     details["triangle_free"] = tf_scan
     if tf_scan != (case is not None):
         if tf_scan:
@@ -544,11 +525,12 @@ def check_triangle_free(ctx: InstanceContext) -> CheckReport:
             return CheckReport(cid, ctx.instance_id, FAIL, "triangle-free but has a cycle", details)
         shape = g.classify_shape()
         details["shape"] = shape.tag
-        expected_ok = {
-            "chain": shape.tag in ("null", "complete") and g.n <= 2,
-            "semisimple-pair": shape.tag == "null" and g.n == details.get("pair_iso", 0) + 2,
-            "socle-maximal": g.is_star_graph() and g.n == details.get("pair_iso", 0) + 3,
-        }[case]
+        if case == "chain":
+            expected_ok = shape.tag in ("null", "complete") and g.n <= 2
+        elif case == "semisimple-pair":
+            expected_ok = shape.tag == "null" and g.n == pair_iso + 2
+        else:  # socle-maximal
+            expected_ok = g.is_star_graph() and g.n == pair_iso + 3
         if not expected_ok:
             return CheckReport(cid, ctx.instance_id, FAIL, f"shape {shape.tag} unexpected for {case}", details)
     if ctx.is_regular_instance():
@@ -569,7 +551,7 @@ def check_triangle_free(ctx: InstanceContext) -> CheckReport:
 def check_connectivity(ctx: InstanceContext) -> CheckReport:
     cid = "C10-connectivity"
     g, lat = ctx.graph, ctx.lattice
-    split = lat.socle_pair is not None and lat.socle_index() == lat.full_index
+    split = _module_case(lat)[0] == "semisimple-pair"
     connected = g.is_connected()
     details = {"connected": connected, "sum_of_two_simples": split}
     if connected == split:
@@ -590,14 +572,11 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
     g, lat = ctx.graph, ctx.lattice
     details: dict = {}
     maximal = []
-    for li in lat.maximal_indices():
-        v = _vertex_of(g, li)
-        if v is None or g.degree(v) >= g.complement_degree(v):
-            continue
-        s_lat = lat.simple_complement(li)
-        inner = lat.covers_in(lat.zero_index, li)
+    for v in _small_degree_maximals(g, lat):
+        s_lat = lat.simple_complement(v + 1)
+        inner = lat.covers_in(lat.zero_index, v + 1)
         entry = {
-            "T": lat.describe(li),
+            "T": lat.describe(v + 1),
             "splits_off_simple": s_lat is not None,
             "inner_simple_unique": len(inner) == 1,
         }
@@ -617,29 +596,36 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
             "quotient_size": ctx.module.size // witness["kernel"].size,
         }
     )
-    per_vertex = []
+    # the facts of a uniform vertex N depend only on its atom S
+    per_vertex, per_atom = [], {}
     for v in range(g.n):
-        n_idx = g.lattice_pos[v]
-        inner = lat.covers_in(lat.zero_index, n_idx)
-        entry = {"N": lat.describe(n_idx), "deg": g.degree(v), "unique_simple": len(inner) == 1}
+        inner = lat.covers_in(lat.zero_index, v + 1)
+        entry = {"N": lat.describe(v + 1), "deg": g.degree(v), "unique_simple": len(inner) == 1}
         if len(inner) == 1:
-            entry["end_size"] = lat.hom_count(inner[0], inner[0])
-            # S <= N < M, so [S, M] has two ends
-            entry["g_mod_simple"] = lat.interval_size(inner[0], lat.full_index) - 2
-            entry["detached_section"] = _has_detached_section(lat, n_idx, inner[0])
+            (s,) = inner
+            if s not in per_atom:
+                per_atom[s] = {
+                    "end_size": lat.hom_count(s, s),
+                    # S <= N < M, so [S, M] has two ends
+                    "g_mod_simple": lat.interval_size(s, lat.full_index) - 2,
+                    "detached_section": _has_detached_section(lat, s),
+                }
+            entry.update(per_atom[s])
         per_vertex.append(entry)
     details["vertices"] = per_vertex
     return CheckReport(cid, ctx.instance_id, PASS, None, details)
 
 
-def _has_detached_section(lat: Lattice, n_idx: int, s_idx: int) -> bool:
-    """Is there a pair B < A with A meeting N trivially and A/B a copy of S?
-    A/B is simple exactly when A covers B."""
-    n_bits, s_sub, zero = lat.subs[n_idx].bits, lat.subs[s_idx], lat.subs[lat.zero_index]
+def _has_detached_section(lat: Lattice, s_idx: int) -> bool:
+    """For any N whose only atom is S: is there a pair B < A with A meeting N
+    trivially and A/B a copy of S?  A nonzero A & N contains an atom of N,
+    which is S, so A meets N trivially exactly when S is not inside A, and
+    the answer depends on S alone.  A/B is simple exactly when A covers B."""
+    s_sub, zero = lat.subs[s_idx], lat.subs[lat.zero_index]
     for b_idx, b_sub in enumerate(lat.subs):
         for a_idx in lat.covers_in(b_idx, lat.full_index):
             a_sub = lat.subs[a_idx]
-            if a_sub.bits & n_bits != 1 or a_sub.size // b_sub.size != s_sub.size:
+            if a_sub.size // b_sub.size != s_sub.size or lat.leq(s_idx, a_idx):
                 continue
             if section_hom_count(a_sub, b_sub, s_sub, zero) > 1:
                 return True

@@ -17,7 +17,7 @@ from .errors import CapExceeded, ModgraphError, SpecError
 from .graphs import INF, build_graph
 from .lattice import enumerate_submodules
 from .specs import build_instance, load_spec_file
-from .zoo import FILTERS, InstanceContext, family, named_instances
+from .zoo import FILTERS, InstanceContext, family, named_instances, select
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -97,7 +97,8 @@ def cmd_verify(args) -> int:
     caps = _caps_of(args)
     if args.family:
         if args.family == "named":
-            contexts = [InstanceContext(inst, caps) for inst in named_instances(caps)]
+            named = (InstanceContext(inst, caps) for inst in named_instances(caps))
+            contexts = list(select(named, FILTERS[args.filter]))
         elif args.family.startswith("size:"):
             try:
                 bound = int(args.family.split(":", 1)[1])
@@ -107,6 +108,8 @@ def cmd_verify(args) -> int:
         else:
             raise SpecError(f"unknown family {args.family!r} (use 'named' or 'size:N')")
     elif args.spec:
+        if args.filter != "all":
+            raise SpecError(f"--filter {args.filter} applies to a family, not to a spec file")
         contexts = [_context(args.spec, caps)]
     else:
         raise SpecError("verify needs a spec file or --family")

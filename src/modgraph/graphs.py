@@ -1,11 +1,16 @@
 """Intersection graphs of submodule lattices.
 
-Vertices are the nontrivial submodules in canonical lattice order; two
+Vertices are the nontrivial submodules in canonical lattice order, which
+puts 0 first and M last, so vertex v is lattice member v + 1.  Two
 vertices are adjacent exactly when their intersection is nonzero, that is,
 when they share a nonzero element.  So the adjacency is built by element
 incidence: the lattice records, for each element, the bitset of members
 holding it, and a vertex's row is the OR of those bitsets over its nonzero
-elements, sum |N_i| ORs in all instead of a test per vertex pair.  Walks
+elements, sum |N_i| ORs in all instead of a test per vertex pair.  The
+degrees are stored when the rows are built, and the shape tests read them
+(a star is the degree sequence n - 1 ones and n - 1).  Containment is read
+off the lattice's up-sets, shifted by one to vertex numbering: the overline
+of a simple vertex is its up-set, and meeting in 0 is non-adjacency.  Walks
 run on the adjacency bitsets a whole frontier at a time (one step ORs the
 masks of every frontier vertex), which gives connectivity.
 The diameter first tests "diameter <= 2" directly: for each vertex, OR the
@@ -68,29 +73,32 @@ class IntersectionGraph:
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
         self.module = lattice.module
-        self.lattice_pos = tuple(lattice.nontrivial_indices())
-        self.vertices = tuple(lattice.subs[i] for i in self.lattice_pos)
+        # vertex v is lattice member v + 1: canonical order puts 0 first and M last
+        self.vertices = lattice.subs[1:-1]
         self.n = len(self.vertices)
-        # holders[x]: the vertices containing element x, none for x = 0; vertex
-        # v is lattice member v + 1, as canonical order puts 0 first and M last
-        mask = (1 << self.n) - 1
-        holders = [0] + [h >> 1 & mask for h in lattice._holders[1:]]
+        # holders[x]: the vertices containing element x, none for x = 0
+        holders = [0] + [self.vertices_of(h) for h in lattice._holders[1:]]
         self.adj = [
             reduce(or_, map(holders.__getitem__, sub.members)) & ~(1 << i)
             for i, sub in enumerate(self.vertices)
         ]
+        self._degrees = [row.bit_count() for row in self.adj]
         self._solved: dict[str, tuple] = {}
+
+    def vertices_of(self, members: int) -> int:
+        """A bitset of lattice members as a bitset of vertices: drop 0 and M."""
+        return members >> 1 & (1 << self.n) - 1
 
     # -- basic invariants --------------------------------------------------
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return self._degrees[v]
 
     def complement_degree(self, v: int) -> int:
-        return self.n - 1 - self.degree(v)
+        return self.n - 1 - self._degrees[v]
 
     def degrees(self) -> list[int]:
-        return [self.degree(v) for v in range(self.n)]
+        return list(self._degrees)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in range(i + 1, self.n) if (self.adj[i] >> j) & 1]
@@ -211,7 +219,7 @@ class IntersectionGraph:
     # -- shapes --------------------------------------------------------------
 
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return sum(self._degrees) // 2
 
     def is_null_graph(self) -> bool:
         return self.edge_count() == 0
@@ -221,15 +229,9 @@ class IntersectionGraph:
 
     def is_star_graph(self) -> bool:
         """One vertex adjacent to all others, no other edges; includes the
-        two-vertex case."""
-        if self.n < 2:
-            return False
-        for c in range(self.n):
-            if self.degree(c) == self.n - 1 and all(
-                self.degree(v) == 1 for v in range(self.n) if v != c
-            ):
-                return True
-        return False
+        two-vertex case.  That is the degree sequence n - 1 ones and n - 1."""
+        n = self.n
+        return n >= 2 and sorted(self._degrees) == [1] * (n - 1) + [n - 1]
 
     def star_center(self) -> int | None:
         if not self.is_star_graph():
@@ -249,23 +251,22 @@ class IntersectionGraph:
     # -- submodule-aware pieces ----------------------------------------------
 
     def vertex_is_simple(self, v: int) -> bool:
-        return self.lattice.is_simple(self.lattice_pos[v])
+        return self.lattice.is_simple(v + 1)
 
     def vertex_is_uniform(self, v: int) -> bool:
-        return self.lattice.is_uniform(self.lattice_pos[v])
+        return self.lattice.is_uniform(v + 1)
 
     def simple_vertices(self) -> list[int]:
         return [v for v in range(self.n) if self.vertex_is_simple(v)]
 
     def overline(self, v: int) -> list[int]:
-        """All vertices containing the simple vertex v; always a clique."""
+        """All vertices containing the simple vertex v, its up-set; always a clique."""
         if not self.vertex_is_simple(v):
             raise StructureError("overline is defined for simple vertices only")
-        nb = self.vertices[v].bits
-        return [u for u in range(self.n) if self.vertices[u].bits & nb == nb]
+        return list(iter_bits(self.vertices_of(self.lattice.above(v + 1))))
 
     def vertex_label(self, v: int) -> str:
-        return self.lattice.describe(self.lattice_pos[v])
+        return self.lattice.describe(v + 1)
 
     # -- export ----------------------------------------------------------------
 
@@ -284,7 +285,7 @@ class IntersectionGraph:
                 "vertices": [
                     {
                         "id": f"v{v}",
-                        "generators": [self.module.label(g) for g in self.lattice.gens(self.lattice_pos[v])],
+                        "generators": [self.module.label(g) for g in self.lattice.gens(v + 1)],
                         "size": self.vertices[v].size,
                     }
                     for v in range(self.n)
@@ -339,19 +340,18 @@ def color_by_overline(graph: IntersectionGraph) -> Coloring | ApplicabilityFailu
     structure = homogeneous_socle_pair(lat)
     if structure is None:
         raise StructureError("socle is not an essential homogeneous direct pair of simples")
-    soc_bits = lat.subs[structure["socle"]].bits
+    above = graph.vertices_of(lat.above(structure["socle"]))
     atom_vertices = graph.simple_vertices()
     over = {a: graph.overline(a) for a in atom_vertices}
-    above = [v for v in range(graph.n) if graph.vertices[v].bits & soc_bits == soc_bits]
     star = max(atom_vertices, key=lambda a: len(over[a]))
     colors = [-1] * graph.n
     for c, v in enumerate(over[star]):
         colors[v] = c
-    pool = [colors[v] for v in over[star] if v not in above]
+    pool = [colors[v] for v in over[star] if not above >> v & 1]
     for a in atom_vertices:
         if a == star:
             continue
-        rest = [v for v in over[a] if v not in above]
+        rest = [v for v in over[a] if not above >> v & 1]
         if len(rest) > len(pool):
             return ApplicabilityFailure(
                 "containment clique larger than the chosen one",
@@ -388,10 +388,7 @@ def color_complement_by_uniform_clique(
         return ApplicabilityFailure("no uniform vertices", extra=extra)
     raw = []
     for v in range(graph.n):
-        vb = graph.vertices[v].bits
-        hit = next(
-            (t for t, u in enumerate(clique) if graph.vertices[u].bits & vb != 1), None
-        )
+        hit = next((t for t, u in enumerate(clique) if u == v or graph.adj[u] >> v & 1), None)
         if hit is None:
             return ApplicabilityFailure(
                 "vertex meets no member of the uniform clique",

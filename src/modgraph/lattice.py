@@ -123,16 +123,21 @@ class Lattice:
                 holders[x] |= bit
         return holders
 
+    @cached_property
+    def _cyclic(self) -> list[int]:
+        """_cyclic[x] is the index of Rx, the lowest bit of _holders[x]."""
+        return [(h & -h).bit_length() - 1 for h in self._holders]
+
     def gens(self, i: int) -> tuple[int, ...]:
         """Greedy generators of member i: each is the smallest member
-        element outside the span of the earlier ones."""
+        element outside the span of the earlier ones, the lowest bit of
+        bits(N) & ~bits(span)."""
         if i not in self._gens:
-            gens, span = [], self.zero_index
-            for x in self.subs[i].members:
-                if not self.subs[span].bits >> x & 1:
-                    gens.append(x)
-                    rx = self._holders[x]
-                    span = self.join_index(span, (rx & -rx).bit_length() - 1)
+            gens, span, bits = [], self.zero_index, self.subs[i].bits
+            while rest := bits & ~self.subs[span].bits:
+                x = (rest & -rest).bit_length() - 1
+                gens.append(x)
+                span = self.join_index(span, self._cyclic[x])
             self._gens[i] = tuple(gens)
         return self._gens[i]
 
@@ -165,9 +170,13 @@ class Lattice:
             levels[k] |= 1 << i
         # an atom is Rx for each of its nonzero x, and Rx is the first holder
         # of x, so an atom lies in a member when one of its nonzero elements does
-        atom_of = [h & -h & levels[1] for h in holders]
+        atom_of = [1 << c & levels[1] for c in self._cyclic]
         atoms_below = [reduce(or_, map(atom_of.__getitem__, s.members)) for s in self.subs]
         return _Order(up, heights, levels, atoms_below)
+
+    def above(self, i: int) -> int:
+        """Bitset of the members containing member i, i included."""
+        return self._order.up[i]
 
     def _down(self, hi: int) -> int:
         """Bitset of the members inside hi: those holding no element outside it."""

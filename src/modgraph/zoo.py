@@ -158,24 +158,24 @@ class InstanceContext:
         return self.instance.spec["module"] == REGULAR
 
 
-def family(
-    max_ring_size: int,
-    caps: Caps | None = None,
-    predicate=None,
-) -> Iterator[InstanceContext]:
-    """Iterate contexts for the exhaustive family; an optional predicate
-    (InstanceContext -> bool) filters instances after analysis.  Instances
-    whose lattice blows past the caps are skipped."""
+def select(contexts, predicate=None) -> Iterator[InstanceContext]:
+    """The contexts an optional predicate (InstanceContext -> bool) keeps,
+    tested after analysis.  Instances whose lattice blows past the caps
+    while the predicate runs are skipped."""
+    for ctx in contexts:
+        try:
+            keep = predicate is None or predicate(ctx)
+        except CapExceeded:
+            keep = False
+        if keep:
+            yield ctx
+
+
+def family(max_ring_size: int, caps: Caps | None = None, predicate=None) -> Iterator[InstanceContext]:
+    """Iterate contexts for the exhaustive family, filtered by `select`."""
     caps = caps or Caps()
-    for spec in family_specs(max_ring_size):
-        ctx = InstanceContext(build_instance(spec, caps), caps)
-        if predicate is not None:
-            try:
-                if not predicate(ctx):
-                    continue
-            except CapExceeded:
-                continue
-        yield ctx
+    specs = family_specs(max_ring_size)
+    return select((InstanceContext(build_instance(spec, caps), caps) for spec in specs), predicate)
 
 
 def filter_triangle_free(ctx: InstanceContext) -> bool:

@@ -462,3 +462,16 @@ def brute_adjacency(vertices):
             if i != j and a & b:
                 adj[i] |= 1 << j
     return adj
+
+
+def brute_is_star(n, adj):
+    """Is the graph a star: at least two vertices, one of them (the centre)
+    adjacent to every other, and no edge between two others?  Tests every
+    candidate centre against every pair."""
+    for c in range(n):
+        others = [v for v in range(n) if v != c]
+        if all((adj[c] >> v) & 1 for v in others) and not any(
+            (adj[u] >> v) & 1 for u, v in combinations(others, 2)
+        ):
+            return n >= 2
+    return False

@@ -72,7 +72,7 @@ def test_criterion_04_triangular_degree_contract(ctx_by_id):
     for q, name in [(4, "triangular(F4,F2)/regular"), (9, "triangular(F9,F3)/regular")]:
         ctx = ctx_by_id[name]
         g, lat = ctx.graph, ctx.lattice
-        maximal_vertices = [g.lattice_pos.index(i) for i in lat.maximal_indices()]
+        maximal_vertices = [i - 1 for i in lat.maximal_indices()]  # vertex v is member v + 1
         small = [v for v in maximal_vertices if g.degree(v) < g.n - 1]
         here = len(small) == 1
         t = small[0]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,7 @@ from modgraph.checks import (
     reports_to_jsonl,
     run_suite,
 )
+from modgraph.lattice import section_hom_count
 from modgraph.specs import build_instance, make_spec
 from modgraph.zoo import InstanceContext
 
@@ -108,6 +110,56 @@ def test_c6_matches_overlines(ctx_by_id):
     assert check_socle_cliques(ctx_by_id["zmod(12)/regular"]).status == VACUOUS
 
 
+def test_c6_fails_at_an_outside_vertex_that_is_not_uniform(monkeypatch, named_contexts):
+    # C6 reads "the socle trace of N is simple" as "N is uniform"; a vertex
+    # not containing the socle that loses uniformity must be named in a FAIL
+    mutated = 0
+    for ctx in named_contexts:
+        if check_socle_cliques(ctx).status != PASS:
+            continue
+        fresh = InstanceContext(ctx.instance, ctx.caps)
+        g, lat = fresh.graph, fresh.lattice
+        soc = lat.socle_index()
+        real = lat.is_uniform
+        for v in range(g.n):
+            if lat.leq(soc, v + 1):
+                continue
+            monkeypatch.setattr(lat, "is_uniform", lambda i, bad=v + 1: i != bad and real(i))
+            report = check_socle_cliques(fresh)
+            monkeypatch.undo()
+            assert report.status == FAIL, (ctx.instance_id, v)
+            assert report.witness == f"socle trace of {g.vertex_label(v)} is not simple"
+            mutated += 1
+    assert mutated >= 10
+
+
+def _detached_section_by_meets(lat, n_idx, s_idx):
+    """The per-vertex scan: a cover pair B < A with A & N = 0, tested on the
+    member bitsets, and A/B a copy of S."""
+    n_bits, s_sub, zero = lat.subs[n_idx].bits, lat.subs[s_idx], lat.subs[lat.zero_index]
+    for b_idx, b_sub in enumerate(lat.subs):
+        for a_idx in lat.covers_in(b_idx, lat.full_index):
+            a_sub = lat.subs[a_idx]
+            if (a_sub.bits & n_bits == 1 and a_sub.size // b_sub.size == s_sub.size
+                    and section_hom_count(a_sub, b_sub, s_sub, zero) > 1):
+                return True
+    return False
+
+
+def test_detached_section_depends_on_the_atom_alone(named_contexts, family16_contexts):
+    # for a uniform N with atom S, A meets N in 0 exactly when S is not in A
+    answers = Counter()
+    for ctx in [*named_contexts, *family16_contexts]:
+        lat = ctx.lattice
+        for i in lat.nontrivial_indices():
+            if lat.is_uniform(i):
+                (s,) = lat.covers_in(lat.zero_index, i)
+                got = checks._has_detached_section(lat, s)
+                assert got == _detached_section_by_meets(lat, i, s), (ctx.instance_id, i)
+                answers[got] += 1
+    assert answers[True] > 50 and answers[False] > 50
+
+
 def test_c7_and_c8_statuses(ctx_by_id):
     c7 = check_overline_coloring(ctx_by_id["triangular(F4,F2)/regular"])
     assert c7.status == PASS
@@ -145,7 +197,7 @@ def test_c9_runs_past_the_exact_vertex_cap():
 
 def test_c9_fail_witness_is_the_triangle_found(monkeypatch, ctx_by_id):
     ctx = ctx_by_id["zmod(12)/regular"]
-    monkeypatch.setattr(checks, "_module_trichotomy", lambda ctx: ("chain", {}))
+    monkeypatch.setattr(checks, "_module_case", lambda lat: ("chain", None))
     report = check_triangle_free(ctx)
     g, tri = ctx.graph, ctx.graph.triangle()
     assert all(g.adj[u] >> v & 1 for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])))
@@ -232,12 +284,21 @@ def test_suite_reads_each_structural_fact_once(monkeypatch, named_contexts, fami
     solved = []
     real_max_clique = graphs.max_clique
     monkeypatch.setattr(graphs, "max_clique", lambda *args: solved.append(1) or real_max_clique(*args))
+    # C11's detached-section scan runs once per atom, not once per vertex
+    scanned = Counter()
+    real_scan = checks._has_detached_section
+    monkeypatch.setattr(
+        checks, "_has_detached_section", lambda lat, s: scanned.update([s]) or real_scan(lat, s)
+    )
     for ctx in [*named_contexts, *family16_contexts]:
         fresh = InstanceContext(ctx.instance, ctx.caps)
         solved.clear()
+        scanned.clear()
         reports, summary = run_suite([fresh])
         assert not summary.failed and len(reports) == len(ALL_CHECKS), ctx.instance_id
         assert len(solved) <= 2, ctx.instance_id
+        assert max(scanned.values(), default=0) <= 1, ctx.instance_id
+        assert set(scanned) <= set(fresh.lattice.atom_indices()), ctx.instance_id
 
 
 def test_length_additivity_catches_a_wrong_kernel_height(named_contexts):

@@ -22,7 +22,14 @@ from modgraph.lattice import enumerate_submodules
 from modgraph.modules import direct_sum, regular_module
 from modgraph.rings import ring_from_field, ring_zmod
 
-from .oracles import brute_adjacency, brute_distances, brute_girth, brute_is_proper, subspace_clique
+from .oracles import (
+    brute_adjacency,
+    brute_distances,
+    brute_girth,
+    brute_is_proper,
+    brute_is_star,
+    subspace_clique,
+)
 from .test_lattice import vector_space, zmod_sum
 from .test_solvers import PETERSEN, complete, cycle, graph_from_edges
 
@@ -103,7 +110,7 @@ def test_star_center_is_socle(ctx_by_id):
     ctx = ctx_by_id["polyquot(F3,x^2,x*y,y^2)/regular"]
     g, lat = ctx.graph, ctx.lattice
     center = g.star_center()
-    assert g.lattice_pos[center] == lat.socle_index()
+    assert center + 1 == lat.socle_index()  # vertex v is lattice member v + 1
 
 
 def test_girth_and_diameter():
@@ -116,9 +123,11 @@ def test_girth_and_diameter():
 
 
 def walk_graph(n, adj):
-    """An IntersectionGraph over a given adjacency; the walks read only n and adj."""
+    """An IntersectionGraph over a given adjacency; the walks and shape
+    tests read only n, adj and the degrees stored at build."""
     g = IntersectionGraph.__new__(IntersectionGraph)
     g.n, g.adj = n, list(adj)
+    g._degrees = [row.bit_count() for row in adj]
     return g
 
 
@@ -136,6 +145,33 @@ def random_graph(draw):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
     return n, graph_from_edges(n, edges)
+
+
+@st.composite
+def near_star(draw):
+    """A star on n vertices with at most one vertex pair flipped."""
+    n = draw(st.integers(0, 9))
+    if n == 0:
+        return 0, []
+    centre = draw(st.integers(0, n - 1))
+    edges = {(min(centre, v), max(centre, v)) for v in range(n) if v != centre}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs and draw(st.booleans()):
+        edges ^= {draw(st.sampled_from(pairs))}
+    return n, graph_from_edges(n, edges)
+
+
+@given(st.one_of(random_graph(), near_star()))
+@example((0, []))
+@example((1, [0]))
+@example((2, [0, 0]))  # two isolated vertices
+@example((2, complete(2)))  # K2, the two-vertex star
+@example((4, graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])))
+@example((4, graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])))
+@settings(max_examples=150, deadline=None)
+def test_star_by_degrees_matches_pairwise_oracle(graph):
+    n, adj = graph
+    assert walk_graph(n, adj).is_star_graph() == brute_is_star(n, adj)
 
 
 def test_walks_match_distance_oracle_on_zoo_and_census(named_contexts, family16_contexts):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from modgraph.specs import (
     normalize_spec,
     spec_hash,
 )
+from modgraph.zoo import named_instance_specs
 
 Z12_SPEC = {"version": 1, "ring": {"kind": "zmod", "n": 12}, "module": {"kind": "regular"}}
 
@@ -245,6 +247,46 @@ def test_cli_verify_family_subset(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "C10-connectivity" in out and "FAIL" not in out
+
+
+def test_cli_filter_applies_to_named(named_contexts):
+    proc = subprocess.run(
+        [sys.executable, "-m", "modgraph.cli", "verify", "--family", "named",
+         "--filter", "triangle-free", "--check", "C9-triangle-free"],
+        capture_output=True, text=True,
+    )
+    kept = sum(ctx.graph.is_triangle_free() for ctx in named_contexts)
+    assert proc.returncode == 0 and 0 < kept < len(named_contexts)
+    assert proc.stdout.splitlines()[0].split() == ["C9-triangle-free", f"PASS={kept}"]
+    assert proc.stdout.splitlines()[-1] == f"{kept} reports, ok"
+
+
+def test_cli_filter_with_a_spec_file_exits_two(spec_file):
+    proc = subprocess.run(
+        [sys.executable, "-m", "modgraph.cli", "verify", spec_file, "--filter", "triangle-free"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+# sha256 of the stdout of lattice, graph --format json, graph --format dot and
+# invariants on each named spec, in zoo order; a change to it is a change to
+# the output of those commands
+PER_SPEC_SHA256 = "84d7e53106de8f8653fb69d21308ba878dc583e06fb3dd9686d64c3ccd876678"
+
+
+def test_per_spec_commands_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MODGRAPH_CAPS", raising=False)
+    digest = hashlib.sha256()
+    for k, spec in enumerate(named_instance_specs()):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(spec))
+        for command, *flags in (["lattice"], ["graph", "--format", "json"],
+                                ["graph", "--format", "dot"], ["invariants"]):
+            assert main([command, str(path), *flags]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == PER_SPEC_SHA256
 
 
 def test_cli_respects_caps_env_var(spec_file, capsys, monkeypatch):
