@@ -62,6 +62,6 @@ from .rings import (
 )
 from .solvers import chromatic_number, max_clique, max_cliques
 from .specs import Instance, build_instance, load_spec_file, make_spec
-from .zoo import InstanceContext, family, named_instances
+from .zoo import InstanceContext, contexts, family
 
 __version__ = "0.1.0"

@@ -48,15 +48,11 @@ def capped_power(base: int, exp: int, cap: int, what: str) -> int:
     return size
 
 
-def caps_from_env(base: Caps | None = None) -> Caps:
+def caps_from_env() -> Caps:
     """Parse MODGRAPH_CAPS ("key=int,key=int"); an unknown key or a value
     that is not an integer raises SpecError naming the key."""
-    caps = base or Caps()
-    raw = os.environ.get("MODGRAPH_CAPS", "").strip()
-    if not raw:
-        return caps
     fields = {}
-    for part in raw.split(","):
+    for part in os.environ.get("MODGRAPH_CAPS", "").split(","):
         part = part.strip()
         if not part:
             continue
@@ -68,4 +64,4 @@ def caps_from_env(base: Caps | None = None) -> Caps:
             fields[key] = int(value)
         except ValueError:
             raise SpecError(f"cap {key!r} in MODGRAPH_CAPS needs an integer, got {value!r}") from None
-    return caps.override(**fields)
+    return Caps(**fields)

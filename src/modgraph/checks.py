@@ -455,7 +455,7 @@ def check_complement_coloring(ctx: InstanceContext) -> CheckReport:
 def _ring_trichotomy(ctx: InstanceContext) -> tuple[str | None, dict]:
     lat = ctx.lattice
     details: dict = {}
-    rad = prime_radical(ctx.ring, ctx.caps, lat)
+    rad = prime_radical(lat)
     rad_idx = lat.position(rad)
     details["radical_size"] = rad.size
     nontrivial = lat.nontrivial_indices()
@@ -586,7 +586,7 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
             entry["alpha"] = g.n
         maximal.append(entry)
     details["small_degree_maximal"] = maximal
-    witness = find_double_simple_image(ctx.module, lat, ctx.caps)
+    witness = find_double_simple_image(lat)
     details["double_simple_image"] = (
         None
         if witness is None

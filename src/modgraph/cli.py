@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Commands: lattice | graph | invariants | verify | zoo.  All outputs are
-deterministic for a given spec file.  Exit codes: 0 success, 1 a
-verification check failed, 2 invalid input, 3 a cap was exceeded.
+Commands: lattice | graph | invariants | verify | zoo, all deterministic for
+a given spec file.  Exit codes: 0 success, 1 a check failed, 2 invalid input,
+3 a cap was exceeded (verify reports a cap per instance, as SKIPPED).
 """
 
 from __future__ import annotations
@@ -11,13 +11,12 @@ import argparse
 import json
 import sys
 
+from . import zoo
 from .caps import Caps, caps_from_env
 from .checks import ALL_CHECKS, render_summary, reports_to_jsonl, run_suite
 from .errors import CapExceeded, ModgraphError, SpecError
-from .graphs import INF, build_graph
-from .lattice import enumerate_submodules
-from .specs import build_instance, load_spec_file
-from .zoo import FILTERS, InstanceContext, family, named_instances, select
+from .graphs import INF
+from .specs import load_spec_file
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -40,13 +39,9 @@ def _caps_of(args) -> Caps:
     )
 
 
-def _context(path: str, caps: Caps) -> InstanceContext:
-    return InstanceContext(build_instance(load_spec_file(path), caps), caps)
-
-
 def cmd_lattice(args) -> int:
     caps = _caps_of(args)
-    ctx = _context(args.spec, caps)
+    ctx = next(zoo.contexts([load_spec_file(args.spec)], caps))
     lat = ctx.lattice
     out = [f"# {ctx.instance_id}: {len(lat)} submodules"]
     for i, sub in enumerate(lat.subs):
@@ -57,14 +52,14 @@ def cmd_lattice(args) -> int:
 
 def cmd_graph(args) -> int:
     caps = _caps_of(args)
-    ctx = _context(args.spec, caps)
+    ctx = next(zoo.contexts([load_spec_file(args.spec)], caps))
     sys.stdout.write(ctx.graph.export(args.format))
     return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
     caps = _caps_of(args)
-    ctx = _context(args.spec, caps)
+    ctx = next(zoo.contexts([load_spec_file(args.spec)], caps))
     g, lat = ctx.graph, ctx.lattice
     omega, _ = g.clique_number(caps)
     chi, _ = g.chromatic(caps)
@@ -93,24 +88,29 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
+def _family_specs(family: str) -> list[dict]:
+    # looked up on the zoo module at call time, so a caller may replace it
+    if family == "named":
+        return zoo.named_instance_specs()
+    if family.startswith("size:"):
+        try:
+            bound = int(family.split(":", 1)[1])
+        except ValueError as exc:
+            raise SpecError(f"bad family bound in {family!r}") from exc
+        return zoo.family_specs(bound)
+    raise SpecError(f"unknown family {family!r} (use 'named' or 'size:N')")
+
+
 def cmd_verify(args) -> int:
     caps = _caps_of(args)
+    if args.family and args.spec:
+        raise SpecError("give a spec file or --family, not both")
     if args.family:
-        if args.family == "named":
-            named = (InstanceContext(inst, caps) for inst in named_instances(caps))
-            contexts = list(select(named, FILTERS[args.filter]))
-        elif args.family.startswith("size:"):
-            try:
-                bound = int(args.family.split(":", 1)[1])
-            except ValueError as exc:
-                raise SpecError(f"bad family bound in {args.family!r}") from exc
-            contexts = list(family(bound, caps, FILTERS[args.filter]))
-        else:
-            raise SpecError(f"unknown family {args.family!r} (use 'named' or 'size:N')")
+        specs = _family_specs(args.family)
     elif args.spec:
         if args.filter != "all":
             raise SpecError(f"--filter {args.filter} applies to a family, not to a spec file")
-        contexts = [_context(args.spec, caps)]
+        specs = [load_spec_file(args.spec)]
     else:
         raise SpecError("verify needs a spec file or --family")
     check_ids = args.check.split(",") if args.check else None
@@ -118,7 +118,7 @@ def cmd_verify(args) -> int:
         for cid in check_ids:
             if cid not in ALL_CHECKS:
                 raise SpecError(f"unknown check id {cid!r}; known: {', '.join(ALL_CHECKS)}")
-    reports, summary = run_suite(contexts, check_ids, caps)
+    reports, summary = run_suite(zoo.contexts(specs, caps, zoo.FILTERS[args.filter]), check_ids, caps)
     if args.jsonl:
         with open(args.jsonl, "w", encoding="utf-8") as fh:
             fh.write(reports_to_jsonl(reports))
@@ -128,8 +128,10 @@ def cmd_verify(args) -> int:
 
 def cmd_zoo(args) -> int:
     caps = _caps_of(args)
-    for inst in named_instances(caps):
-        print(f"{inst.instance_id}  ring={inst.ring.size} module={inst.module.size} hash={inst.content_hash}")
+    print("\n".join(  # all built before any is printed
+        f"{ctx.instance_id}  ring={ctx.ring.size} module={ctx.module.size} hash={ctx.instance.content_hash}"
+        for ctx in zoo.contexts(zoo.named_instance_specs(), caps)
+    ))
     return EXIT_OK
 
 
@@ -159,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run theorem checks over an instance or family")
     p.add_argument("spec", nargs="?", default=None)
     p.add_argument("--family", default=None, help="'named' or 'size:N'")
-    p.add_argument("--filter", default="all", choices=sorted(FILTERS))
+    p.add_argument("--filter", default="all", choices=sorted(zoo.FILTERS))
     p.add_argument("--check", default=None, help="comma-separated check ids")
     p.add_argument("--jsonl", default=None, help="write line-delimited JSON reports here")
     _add_caps_flags(p)

@@ -51,9 +51,7 @@ from .modules import (
     Submodule,
     close_subset,
     cyclic_members,
-    regular_module,
 )
-from .rings import FiniteRing
 from .solvers import iter_bits
 
 
@@ -467,9 +465,7 @@ def count_iso_simple(s_mod: FiniteModule, t_mod: FiniteModule) -> int:
 # -- double simple image ------------------------------------------------------
 
 
-def find_double_simple_image(
-    module: FiniteModule, lattice: Lattice | None = None, caps: Caps | None = None
-) -> dict | None:
+def find_double_simple_image(lattice: Lattice) -> dict | None:
     """First kernel K (canonical order) such that M/K contains a direct pair
     of isomorphic simple submodules; None when no quotient does.
 
@@ -478,8 +474,6 @@ def find_double_simple_image(
     order, with A/K isomorphic to B/K; A and B are submodules of M.  No
     module is built.
     """
-    caps = caps or Caps()
-    lattice = lattice or enumerate_submodules(module, caps)
     for k_idx, kernel in enumerate(lattice.subs):
         covers = [lattice.subs[i] for i in lattice.covers_in(k_idx, lattice.full_index)]
         for ai, a in enumerate(covers):
@@ -500,17 +494,16 @@ def ideal_product(module: FiniteModule, a_members, b_members) -> np.ndarray:
     return close_subset(module, ring.mul[np.ix_(a, b)].ravel())
 
 
-def prime_radical(
-    ring: FiniteRing, caps: Caps | None = None, lattice: Lattice | None = None
-) -> Submodule:
-    """Prime radical of a finite ring: the intersection of all maximal left
-    ideals (finite rings are left Artinian, so this equals the Jacobson and
-    prime radicals).  Postconditions checked: the result is a nilpotent
-    two-sided ideal annihilating every minimal left ideal."""
-    caps = caps or Caps()
-    if lattice is None:
-        lattice = enumerate_submodules(regular_module(ring, caps), caps)
+def prime_radical(lattice: Lattice) -> Submodule:
+    """Prime radical of a finite ring R, read off the lattice of R_R: the
+    intersection of all maximal left ideals (finite rings are left Artinian,
+    so this equals the Jacobson and prime radicals).  Postconditions checked:
+    the result is a nilpotent two-sided ideal annihilating every minimal
+    left ideal."""
     reg = lattice.module
+    ring = reg.ring
+    if not (reg.add is ring.add and reg.act is ring.mul):
+        raise StructureError("prime_radical needs the lattice of the ring's regular module")
     acc = lattice.subs[lattice.full_index].bits
     for i in lattice.maximal_indices():
         acc &= lattice.subs[i].bits

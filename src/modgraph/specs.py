@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from functools import cached_property
 
 from .caps import Caps
 from .errors import SpecError
@@ -49,7 +49,6 @@ _MODULE_FIELDS = {
     "quotient": {"kind", "of", "kernel_gens"},
     "custom": {"kind", "add", "act"},
 }
-_CAP_FIELDS = {"max_ring_size", "max_module_size", "max_submodules", "max_exact_vertices"}
 
 
 def _is_int(value) -> bool:
@@ -74,7 +73,6 @@ _VALUES = {
     **dict.fromkeys(["add", "mul", "act"], _TABLE),
     "kernel_gens": (lambda v, _: isinstance(v, list) and all(_is_int(g) and g >= 0 for g in v),
                     "a list of element indices"),
-    **dict.fromkeys(_CAP_FIELDS, (lambda v, _: _is_int(v), "an integer")),
 }
 
 
@@ -107,17 +105,13 @@ def _check_kind(spec, kinds: dict, what: str) -> None:
 
 
 def normalize_spec(spec: dict) -> dict:
-    _check_fields(spec, {"version", "ring", "module", "caps"}, "instance spec", {"ring", "module"})
+    _check_fields(spec, {"version", "ring", "module"}, "instance spec", {"ring", "module"})
     version = spec.get("version", SPEC_VERSION)
     if version != SPEC_VERSION:
         raise SpecError(f"unsupported spec version {version}")
     _check_kind(spec["ring"], _RING_FIELDS, "ring")
     _check_kind(spec["module"], _MODULE_FIELDS, "module")
-    if "caps" in spec:
-        _check_fields(spec["caps"], _CAP_FIELDS, "caps")
     out = {"version": SPEC_VERSION, "ring": spec["ring"], "module": spec["module"]}
-    if spec.get("caps"):
-        out["caps"] = spec["caps"]
     return json.loads(dumps_spec(out))
 
 
@@ -232,12 +226,21 @@ def instance_name(spec: dict) -> str:
     return f"{ring}/{describe_module_spec(module)}"
 
 
-@dataclass
 class Instance:
-    instance_id: str
-    spec: dict
-    ring: FiniteRing
-    module: FiniteModule
+    """The ring and module of a normalized spec, each built on first read."""
+
+    def __init__(self, spec: dict, caps: Caps | None = None):
+        self.spec = spec
+        self.caps = caps or Caps()
+        self.instance_id = instance_name(spec)
+
+    @cached_property
+    def ring(self) -> FiniteRing:
+        return build_ring(self.spec["ring"], self.caps)
+
+    @cached_property
+    def module(self) -> FiniteModule:
+        return build_module(self.spec["module"], self.ring, self.caps)
 
     @property
     def content_hash(self) -> str:
@@ -245,15 +248,10 @@ class Instance:
 
 
 def build_instance(spec: dict, caps: Caps | None = None) -> Instance:
-    spec = normalize_spec(spec)
-    caps = (caps or Caps()).override(**spec.get("caps", {}))
-    ring = build_ring(spec["ring"], caps)
-    module = build_module(spec["module"], ring, caps)
-    return Instance(instance_name(spec), spec, ring, module)
+    instance = Instance(normalize_spec(spec), caps)
+    instance.module  # built now, so a cap or a bad table raises here
+    return instance
 
 
-def make_spec(ring: dict, module: dict, caps: dict | None = None) -> dict:
-    spec = {"version": SPEC_VERSION, "ring": ring, "module": module}
-    if caps:
-        spec["caps"] = caps
-    return normalize_spec(spec)
+def make_spec(ring: dict, module: dict) -> dict:
+    return normalize_spec({"version": SPEC_VERSION, "ring": ring, "module": module})

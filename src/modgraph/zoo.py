@@ -13,7 +13,7 @@ from .caps import Caps
 from .errors import CapExceeded
 from .graphs import IntersectionGraph, build_graph, homogeneous_socle_pair
 from .lattice import Lattice, enumerate_submodules
-from .specs import Instance, build_instance, make_spec
+from .specs import Instance, build_instance, make_spec, normalize_spec
 
 REGULAR = {"kind": "regular"}
 
@@ -71,10 +71,6 @@ def named_instance_specs() -> list[dict]:
     return specs
 
 
-def named_instances(caps: Caps | None = None) -> list[Instance]:
-    return [build_instance(spec, caps) for spec in named_instance_specs()]
-
-
 def _base_ring_specs(max_size: int) -> list[tuple[int, dict]]:
     """Sized ring specs for every non-product builder, within the size bound."""
     out: list[tuple[int, dict]] = []
@@ -128,6 +124,7 @@ class InstanceContext:
         self.instance = instance
         self.caps = caps or Caps()
         self._lattice: Lattice | None = None
+        self._refusal: CapExceeded | None = None
         self._graph: IntersectionGraph | None = None
 
     @property
@@ -144,8 +141,16 @@ class InstanceContext:
 
     @property
     def lattice(self) -> Lattice:
+        """The submodule lattice, enumerated once; a cap hit while the module
+        is built or enumerated is kept and raised again on every later read."""
+        if self._refusal is not None:
+            raise self._refusal
         if self._lattice is None:
-            self._lattice = enumerate_submodules(self.instance.module, self.caps)
+            try:
+                self._lattice = enumerate_submodules(self.instance.module, self.caps)
+            except CapExceeded as exc:
+                self._refusal = exc
+                raise
         return self._lattice
 
     @property
@@ -158,11 +163,19 @@ class InstanceContext:
         return self.instance.spec["module"] == REGULAR
 
 
-def select(contexts, predicate=None) -> Iterator[InstanceContext]:
-    """The contexts an optional predicate (InstanceContext -> bool) keeps,
-    tested after analysis.  Instances whose lattice blows past the caps
-    while the predicate runs are skipped."""
-    for ctx in contexts:
+def contexts(specs, caps: Caps | None = None, predicate=None) -> Iterator[InstanceContext]:
+    """One context per spec, in order, each instance built when it is reached.
+
+    An instance past a cap is yielded unbuilt, and its lattice raises the cap
+    again, so the checks report it SKIPPED and the run goes on.  An optional
+    predicate (InstanceContext -> bool) is tested after analysis; an instance
+    that hits a cap while it runs is left out."""
+    for spec in specs:
+        try:
+            ctx = InstanceContext(build_instance(spec, caps), caps)
+        except CapExceeded as exc:
+            ctx = InstanceContext(Instance(normalize_spec(spec), caps), caps)
+            ctx._refusal = exc  # raised by its lattice, so the build is not tried again
         try:
             keep = predicate is None or predicate(ctx)
         except CapExceeded:
@@ -172,10 +185,8 @@ def select(contexts, predicate=None) -> Iterator[InstanceContext]:
 
 
 def family(max_ring_size: int, caps: Caps | None = None, predicate=None) -> Iterator[InstanceContext]:
-    """Iterate contexts for the exhaustive family, filtered by `select`."""
-    caps = caps or Caps()
-    specs = family_specs(max_ring_size)
-    return select((InstanceContext(build_instance(spec, caps), caps) for spec in specs), predicate)
+    """Contexts of the exhaustive family, filtered by an optional predicate."""
+    return contexts(family_specs(max_ring_size), caps, predicate)
 
 
 def filter_triangle_free(ctx: InstanceContext) -> bool:

@@ -4,7 +4,7 @@ from modgraph.caps import Caps
 from modgraph.fields import gf_build
 from modgraph.modules import direct_sum, quotient, regular_module, submodule_generated
 from modgraph.rings import ring_from_field, ring_triangular, ring_zmod
-from modgraph.zoo import InstanceContext, family, named_instances
+from modgraph.zoo import contexts, family, named_instance_specs
 
 
 @pytest.fixture(scope="session")
@@ -14,7 +14,7 @@ def caps():
 
 @pytest.fixture(scope="session")
 def named_contexts():
-    return [InstanceContext(inst) for inst in named_instances()]
+    return list(contexts(named_instance_specs()))
 
 
 @pytest.fixture(scope="session")

@@ -341,27 +341,35 @@ def test_iso_count_requires_simple_input():
 
 
 def test_find_double_simple_image(f2_squared, z2_x_z4):
-    witness = find_double_simple_image(f2_squared)
+    witness = find_double_simple_image(enumerate_submodules(f2_squared))
     assert witness is not None and witness["kernel"].size == 1
     # the pair is two ambient submodules A != B, each with A/K simple
     a, b = witness["pair"]
     assert a.module is b.module is f2_squared and a != b
     assert a.size == b.size == 2 and quotient(f2_squared, witness["kernel"])[0].size == 4
     z8 = regular_module(ring_zmod(8))
-    assert find_double_simple_image(z8) is None
-    witness2 = find_double_simple_image(z2_x_z4)
+    assert find_double_simple_image(enumerate_submodules(z8)) is None
+    witness2 = find_double_simple_image(enumerate_submodules(z2_x_z4))
     # the module itself already contains an isomorphic direct pair, so the
     # first kernel in canonical order is zero
     assert witness2 is not None and witness2["kernel"].size == 1
 
 
+def _radical(ring):
+    return prime_radical(enumerate_submodules(regular_module(ring)))
+
+
 def test_prime_radical_examples(triangular_f4):
-    assert prime_radical(ring_zmod(12)).members == (0, 6)
-    assert prime_radical(ring_matrix(gf_build(2, 1), 2)).members == (0,)
-    assert prime_radical(ring_poly_quot(2, ["x^2"], ["x"])).size == 2
-    tri = triangular_f4.ring
-    rad = prime_radical(tri)
+    assert _radical(ring_zmod(12)).members == (0, 6)
+    assert _radical(ring_matrix(gf_build(2, 1), 2)).members == (0,)
+    assert _radical(ring_poly_quot(2, ["x^2"], ["x"])).size == 2
+    rad = prime_radical(enumerate_submodules(triangular_f4))
     assert rad.size == 4  # the strictly-upper-triangular part
+
+
+def test_prime_radical_needs_the_regular_module(f2_squared):
+    with pytest.raises(StructureError, match="regular module"):
+        prime_radical(enumerate_submodules(f2_squared))
 
 
 def test_submodule_count_cap():

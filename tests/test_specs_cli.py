@@ -6,12 +6,17 @@ import sys
 
 import pytest
 
+from modgraph import specs as specs_mod
+from modgraph import zoo
 from modgraph.caps import Caps, caps_from_env
+from modgraph.checks import reports_to_jsonl, run_suite
 from modgraph.cli import main
 from modgraph.errors import SpecError
+from modgraph.lattice import enumerate_submodules
 from modgraph.rings import ring_zmod
 from modgraph.specs import (
     build_instance,
+    build_ring,
     dumps_spec,
     instance_name,
     make_spec,
@@ -74,14 +79,6 @@ def test_module_kinds_build():
         {"kind": "custom", "add": reg.add.tolist(), "act": reg.mul.tolist()},
     )
     assert build_instance(custom).module.size == 3
-
-
-def test_caps_override_in_spec():
-    spec = make_spec({"kind": "zmod", "n": 12}, {"kind": "regular"}, caps={"max_ring_size": 8})
-    from modgraph.errors import CapExceeded
-
-    with pytest.raises(CapExceeded):
-        build_instance(spec)
 
 
 def test_caps_env_parsing(monkeypatch):
@@ -324,3 +321,86 @@ def test_verify_does_not_import_numpy_ma():
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_spec_level_caps_are_rejected(tmp_path, capsys):
+    # caps come from the flags and MODGRAPH_CAPS only
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps({**Z12_SPEC, "caps": {"max_submodules": 3, "max_exact_vertices": 2}}))
+    for command in ("lattice", "verify"):
+        assert main([command, str(path)]) == 2
+        assert "unknown fields ['caps']" in capsys.readouterr().err
+
+
+def test_cli_family_with_a_spec_file_exits_two(spec_file, capsys):
+    assert main(["verify", spec_file, "--family", "size:4", "--check", "C10-connectivity"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_verify_skips_a_spec_past_the_ring_cap(spec_file, tmp_path, capsys):
+    jsonl = tmp_path / "reports.jsonl"
+    assert main(["verify", spec_file, "--max-ring-size", "8", "--jsonl", str(jsonl)]) == 0
+    reports = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert len(reports) == 11
+    for rep in reports:
+        if rep["check"] == "C5-structured-shapes":  # read off the spec alone
+            assert rep["status"] == "VACUOUS"
+        else:
+            assert rep["status"] == "SKIPPED" and "max_ring_size=8" in rep["witness"]
+    capsys.readouterr()
+    # the per-spec commands have no report to put it in
+    assert main(["lattice", spec_file, "--max-ring-size", "8"]) == 3
+    assert "max_ring_size=8" in capsys.readouterr().err
+
+
+def test_named_run_under_a_ring_cap_skips_only_the_large_rings(named_contexts, tmp_path, capsys, monkeypatch):
+    jsonl = tmp_path / "reports.jsonl"
+    monkeypatch.setenv("MODGRAPH_CAPS", "max_ring_size=8")
+    assert main(["verify", "--family", "named", "--jsonl", str(jsonl)]) == 0
+    capsys.readouterr()
+    capped = jsonl.read_text().splitlines()
+    uncapped = reports_to_jsonl(run_suite(named_contexts)[0]).splitlines()
+    large = {ctx.instance_id for ctx in named_contexts if ctx.ring.size > 8}
+    assert len(capped) == len(uncapped) == 275 and len(large) == 13
+    for got, want in zip(capped, uncapped):
+        rep = json.loads(got)
+        if rep["instance"] not in large:
+            assert got == want
+        elif rep["status"] == "SKIPPED":
+            assert "max_ring_size=8" in rep["witness"]
+        else:
+            assert rep["check"] == "C5-structured-shapes" and rep["status"] == "VACUOUS"
+            assert rep["details"] == {}
+
+
+def test_a_capped_lattice_is_enumerated_once(monkeypatch):
+    calls = []
+
+    def counted(module, caps=None):
+        calls.append(module.size)
+        return enumerate_submodules(module, caps)
+
+    monkeypatch.setattr(zoo, "enumerate_submodules", counted)
+    cube = {"kind": "direct_sum", "left": {"kind": "regular"},
+            "right": {"kind": "direct_sum", "left": {"kind": "regular"}, "right": {"kind": "regular"}}}
+    spec = make_spec({"kind": "gf", "p": 2, "k": 1}, cube)
+    reports, _ = run_suite(zoo.contexts([spec], Caps(max_submodules=5)))
+    assert calls == [8]
+    assert {r.status for r in reports} == {"SKIPPED", "VACUOUS"}
+    assert all("max_submodules=5" in r.witness for r in reports if r.status == "SKIPPED")
+
+
+def test_a_refused_build_is_not_tried_again(monkeypatch):
+    calls = []
+
+    def counted(spec, caps):
+        calls.append(spec["kind"])
+        return build_ring(spec, caps)
+
+    monkeypatch.setattr(specs_mod, "build_ring", counted)
+    pair = {"kind": "direct_sum", "left": {"kind": "regular"}, "right": {"kind": "regular"}}
+    reports, _ = run_suite(zoo.contexts([make_spec({"kind": "zmod", "n": 12}, pair)], Caps(max_module_size=100)))
+    assert calls == ["zmod"]  # the ring was built, and the 144-element sum refused, once
+    assert {r.status for r in reports} == {"SKIPPED", "VACUOUS"}
+    assert all("max_module_size=100" in r.witness for r in reports if r.status == "SKIPPED")

@@ -1,9 +1,9 @@
 from modgraph.zoo import (
     FILTERS,
+    contexts,
     family,
     family_specs,
     named_instance_specs,
-    named_instances,
 )
 
 EXPECTED_NAMED_IDS = [
@@ -48,8 +48,8 @@ def test_named_instances_construct_and_have_expected_sizes(ctx_by_id):
 
 
 def test_content_hashes_are_reproducible():
-    first = {i.instance_id: i.content_hash for i in named_instances()}
-    second = {i.instance_id: i.content_hash for i in named_instances()}
+    first = {c.instance_id: c.instance.content_hash for c in contexts(named_instance_specs())}
+    second = {c.instance_id: c.instance.content_hash for c in contexts(named_instance_specs())}
     assert first == second
 
 
