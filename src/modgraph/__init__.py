@@ -51,7 +51,6 @@ from .modules import (
 )
 from .rings import (
     FiniteRing,
-    quotient_ring,
     ring_from_field,
     ring_from_tables,
     ring_matrix,

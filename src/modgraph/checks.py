@@ -19,7 +19,6 @@ from itertools import combinations
 
 from .caps import Caps
 from .errors import CapExceeded
-from .fields import gf_build
 from .graphs import (
     ApplicabilityFailure,
     IntersectionGraph,
@@ -27,16 +26,8 @@ from .graphs import (
     color_complement_by_uniform_clique,
     homogeneous_socle_pair,
 )
-from .lattice import (
-    Lattice,
-    enumerate_submodules,
-    find_double_simple_image,
-    ideal_product,
-    prime_radical,
-    section_hom_count,
-)
-from .modules import Submodule, regular_module
-from .rings import quotient_ring, ring_from_field
+from .lattice import Lattice, find_double_simple_image, ideal_product, prime_radical, section_hom_count
+from .modules import Submodule
 from .solvers import iter_bits
 from .zoo import InstanceContext
 
@@ -321,11 +312,10 @@ def check_structured_shapes(ctx: InstanceContext) -> CheckReport:
         ok = g.n == q + 1 and g.is_null_graph()
         witness = None if ok else f"expected null graph on {q + 1} vertices"
         return CheckReport(cid, ctx.instance_id, PASS if ok else FAIL, witness, details)
-    # triangular over a subfield: the corner ring is a field, so the count of
-    # its proper left ideals is read off its own regular lattice
-    p_field = gf_build(int(spec["ring"]["p"]), int(spec["ring"]["subfield_degree"]), ctx.caps)
-    p_lat = enumerate_submodules(regular_module(ring_from_field(p_field, ctx.caps), ctx.caps), ctx.caps)
-    frak_n = len(p_lat) - 1
+    # triangular over a subfield: Soc(R) = [[D,D],[0,0]], and R acts on
+    # R/Soc(R) through the corner entry c, so by the correspondence theorem
+    # [Soc(R), R] is the lattice of left ideals of the corner ring
+    frak_n = lat.interval_size(lat.socle_index(), lat.full_index) - 1
     details["proper_ideals_of_subring"] = frak_n
     # the socle is also a maximal left ideal here (it has prime index and is
     # essential, so its degree is alpha-1); the classification's T is the
@@ -487,15 +477,14 @@ def _ring_trichotomy(ctx: InstanceContext) -> tuple[str | None, dict]:
         sq = ideal_product(lat.module, rad.members, rad.members)
         if len(sq) != 1:
             return None, details
-        quot = quotient_ring(ctx.ring, list(rad.members), ctx.caps)
-        details["residue_size"] = quot.size
-        if not quot.is_division_ring():
-            return None, details
-        # rad is the unique maximal left ideal, so the section M/rad is simple
+        # rad is the only maximal left ideal, so [rad, R], the lattice of left
+        # ideals of R/rad, has two members: R/rad is a division ring
+        residue = details["residue_size"] = ctx.ring.size // rad.size
+        # and the section M/rad is simple
         full, zero = lat.subs[lat.full_index], lat.subs[lat.zero_index]
         if not all(section_hom_count(lat.subs[a], zero, full, rad) > 1 for a in lat.atom_indices()):
             return None, details
-        if ctx.graph.n != quot.size + 2:
+        if ctx.graph.n != residue + 2:
             return None, details
         return "radical-pair-maximal", details
     return None, details

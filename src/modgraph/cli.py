@@ -97,6 +97,8 @@ def _family_specs(family: str) -> list[dict]:
             bound = int(family.split(":", 1)[1])
         except ValueError as exc:
             raise SpecError(f"bad family bound in {family!r}") from exc
+        if bound < 2:  # no ring has fewer than two elements
+            raise SpecError(f"family bound in {family!r} must be at least 2")
         return zoo.family_specs(bound)
     raise SpecError(f"unknown family {family!r} (use 'named' or 'size:N')")
 

@@ -101,7 +101,7 @@ class IntersectionGraph:
         return list(self._degrees)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n) if (self.adj[i] >> j) & 1]
+        return [(i, j) for i, row in enumerate(self.adj) for j in iter_bits(row & ~((2 << i) - 1))]
 
     def complement_adj(self) -> list[int]:
         full = (1 << self.n) - 1

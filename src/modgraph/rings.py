@@ -175,38 +175,37 @@ def ring_from_field(field: FiniteField, caps: Caps | None = None) -> FiniteRing:
     return FiniteRing(field.add_table(), field.mul_table(), "gf", labels, meta, caps=caps)
 
 
+def _algebra_tables(fa: np.ndarray, fm: np.ndarray, prod: np.ndarray):
+    """Tables of the algebra over the field (fa, fm) with basis products
+    e_s e_t = e_prod[s,t], or 0 where prod[s,t] is -1.  Element i has the
+    base-q digits of i as coordinates, lowest first.  Returns (digits, add,
+    mul), digits[i] being the coordinates of element i."""
+    q, d = fa.shape[0], prod.shape[0]
+    fa, fm = fa.ravel(), fm.ravel()  # entry (a, b) at a * q + b
+    weights = q ** np.arange(d)
+    digits = np.arange(q**d)[:, None] // weights % q
+    add = fa[digits[:, None] * q + digits[None, :]] @ weights
+    coords = np.zeros((d,) + add.shape, dtype=np.int64)  # coords[u]: coordinate u of each product
+    for s, t in zip(*np.nonzero(prod >= 0)):
+        u = prod[s, t]
+        coords[u] = fa[coords[u] * q + fm[digits[:, s, None] * q + digits[None, :, t]]]
+    return digits, add, np.tensordot(weights, coords, 1)
+
+
 def ring_matrix(field: FiniteField, m: int, caps: Caps | None = None) -> FiniteRing:
     caps = caps or Caps()
     q = field.size
     n = capped_power(q, m * m, caps.max_ring_size, "matrix ring")
-    fa, fm = field.add_table(), field.mul_table()
-    # entries of element i, row-major: E[i, r, c]
-    idx = np.arange(n)
-    E = np.zeros((n, m, m), dtype=np.int64)
-    for t in range(m * m):
-        E[:, t // m, t % m] = idx % q
-        idx = idx // q
-    weights = q ** np.arange(m * m)
-
-    def encode(entries: np.ndarray) -> np.ndarray:
-        flat = entries.reshape(entries.shape[:-2] + (m * m,))
-        return flat @ weights
-
-    addE = fa[E[:, None], E[None, :]]
-    mulE = np.zeros((n, n, m, m), dtype=np.int64)
-    for r in range(m):
-        for c in range(m):
-            acc = np.zeros((n, n), dtype=np.int64)
-            for s in range(m):
-                term = fm[E[:, r, s][:, None], E[:, s, c][None, :]]
-                acc = fa[acc, term]
-            mulE[:, :, r, c] = acc
-    one_raw = int(encode(np.eye(m, dtype=np.int64)))
+    # matrix units in row-major order: e_(r,s) e_(s,c) = e_(r,c)
+    row, col = np.divmod(np.arange(m * m), m)
+    prod = np.where(col[:, None] == row[None, :], row[:, None] * m + col[None, :], -1)
+    digits, add, mul = _algebra_tables(field.add_table(), field.mul_table(), prod)
+    one_raw = sum(q ** (r * m + r) for r in range(m))
     labels = [
-        "[" + ",".join("[" + ",".join(field.label(int(E[i, r, c])) for c in range(m)) + "]" for r in range(m)) + "]"
-        for i in range(n)
+        "[" + ",".join("[" + ",".join(map(field.label, entries)) + "]" for entries in matrix) + "]"
+        for matrix in digits.reshape(n, m, m).tolist()
     ]
-    add, mul, labels = _relabel_unity(encode(addE), encode(mulE), one_raw, labels)
+    add, mul, labels = _relabel_unity(add, mul, one_raw, labels)
     meta = {"p": field.p, "k": field.k, "m": m, "q": q}
     return FiniteRing(add, mul, "matrix", labels, meta, caps=caps)
 
@@ -339,21 +338,8 @@ def ring_poly_quot(
             mono = tuple(a + b for a, b in zip(basis[s], basis[t]))
             if not any(_divisible(mono, g) for g in gens):
                 prod[s, t] = bpos[mono]
-    idx = np.arange(n)
-    D = np.zeros((n, nb), dtype=np.int64)
-    rest = idx.copy()
-    for t in range(nb):
-        D[:, t] = rest % p
-        rest //= p
-    weights = p ** np.arange(nb)
-    add = ((D[:, None, :] + D[None, :, :]) % p) @ weights
-    mulD = np.zeros((n, n, nb), dtype=np.int64)
-    for s in range(nb):
-        for t in range(nb):
-            u = prod[s, t]
-            if u >= 0:
-                mulD[:, :, u] += D[:, s][:, None] * D[:, t][None, :]
-    mul = (mulD % p) @ weights
+    zp = np.arange(p)
+    D, add, mul = _algebra_tables((zp[:, None] + zp) % p, (zp[:, None] * zp) % p, prod)
 
     def mono_label(mo: tuple[int, ...]) -> str:
         if sum(mo) == 0:
@@ -381,23 +367,3 @@ def ring_from_tables(
 ) -> FiniteRing:
     return FiniteRing(np.asarray(add), np.asarray(mul), "table", labels, caps=caps)
 
-
-def quotient_ring(ring: FiniteRing, ideal_members: list[int], caps: Caps | None = None) -> FiniteRing:
-    """Quotient by a two-sided ideal given as its full member list."""
-    inside = np.zeros(ring.size, dtype=bool)
-    inside[np.asarray(ideal_members, dtype=np.int64)] = True
-    if not inside[0]:
-        raise ConstructionError("ideal must contain 0")
-    mem = np.flatnonzero(inside)
-    closed = inside[ring.add[np.ix_(mem, mem)]].all() and inside[ring.mul[:, mem]].all()
-    if not (closed and inside[ring.mul[mem]].all()):
-        raise ConstructionError("member set is not a two-sided ideal")
-    rep = ring.add[:, mem].min(axis=1).astype(np.int64)
-    reps = np.flatnonzero(rep == np.arange(ring.size))  # each coset's least element
-    pos = np.full(ring.size, -1, dtype=np.int64)
-    pos[reps] = np.arange(len(reps))
-    add = pos[rep[ring.add[np.ix_(reps, reps)]]]
-    mul = pos[rep[ring.mul[np.ix_(reps, reps)]]]
-    labels = [ring.label(int(r)) + "~" for r in reps]
-    meta = {"of": ring.backend_tag, "ideal_size": len(mem)}
-    return FiniteRing(add, mul, "table", labels, meta, caps=caps)

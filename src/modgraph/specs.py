@@ -179,6 +179,21 @@ def build_module(spec: dict, ring: FiniteRing, caps: Caps) -> FiniteModule:
     raise SpecError(f"unknown module kind {kind!r}")
 
 
+NAMED_POWER_BITS = 64  # 2**64 is past the size of any ring whose tables fit in memory
+
+
+def power_name(p: int, k: int) -> str:
+    """p**k in decimal below 2**NAMED_POWER_BITS, else "p^k".  The power is
+    formed one factor at a time and stops at the bound, which a base of 2 or
+    more passes within NAMED_POWER_BITS factors, so a huge k costs nothing."""
+    size = 1
+    for _ in range(min(k, NAMED_POWER_BITS)):
+        size *= p
+        if size >> NAMED_POWER_BITS:
+            return f"{p}^{k}"
+    return str(size)
+
+
 def describe_ring_spec(spec: dict) -> str:
     kind = spec["kind"]
     if kind == "gf":
@@ -186,11 +201,10 @@ def describe_ring_spec(spec: dict) -> str:
     if kind == "zmod":
         return f"zmod({spec['n']})"
     if kind == "matrix":
-        return f"M{spec['m']}(F{int(spec['p']) ** int(spec['k'])})"
+        return f"M{spec['m']}(F{power_name(spec['p'], spec['k'])})"
     if kind == "triangular":
-        q = int(spec["p"]) ** int(spec["k"])
-        w = int(spec["p"]) ** int(spec["subfield_degree"])
-        return f"triangular(F{q},F{w})"
+        p = spec["p"]
+        return f"triangular(F{power_name(p, spec['k'])},F{power_name(p, spec['subfield_degree'])})"
     if kind == "product":
         return f"product({describe_ring_spec(spec['left'])},{describe_ring_spec(spec['right'])})"
     if kind == "poly_quot":

@@ -475,3 +475,64 @@ def brute_is_star(n, adj):
         ):
             return n >= 2
     return False
+
+
+def brute_poly_quot_tables(p, variables, relations):
+    """Addition and multiplication tables of F_p[variables]/(relations), the
+    relations being monomials such as "x^2" or "x*y".  The basis is every
+    monomial no relation divides, ordered by degree and then exponents;
+    element i has the base-p digits of i as its coefficients, lowest first.
+    Products are multiplied out term by term as coefficient dictionaries."""
+
+    def exponents(word):
+        expo = [0] * len(variables)
+        for factor in word.split("*"):
+            name, _, power = factor.partition("^")
+            expo[variables.index(name)] += int(power or 1)
+        return tuple(expo)
+
+    gens = [exponents(r) for r in relations]
+
+    def vanishes(mono):
+        return any(all(a >= b for a, b in zip(mono, g)) for g in gens)
+
+    top = max(max(g) for g in gens)
+    basis = sorted(
+        (mono for mono in product(range(top + 1), repeat=len(variables)) if not vanishes(mono)),
+        key=lambda mono: (sum(mono), mono),
+    )
+    n = p ** len(basis)
+
+    def poly(i):
+        return {mono: i // p**t % p for t, mono in enumerate(basis) if i // p**t % p}
+
+    def index(coef):
+        return sum(coef.get(mono, 0) % p * p**t for t, mono in enumerate(basis))
+
+    polys = [poly(i) for i in range(n)]
+    add = [[index({m: a.get(m, 0) + b.get(m, 0) for m in basis}) for b in polys] for a in polys]
+    mul = []
+    for a in polys:
+        row = []
+        for b in polys:
+            coef = {}
+            for ma, ca in a.items():
+                for mb, cb in b.items():
+                    mono = tuple(x + y for x, y in zip(ma, mb))
+                    if not vanishes(mono):
+                        coef[mono] = coef.get(mono, 0) + ca * cb
+            row.append(index(coef))
+        mul.append(row)
+    return add, mul
+
+
+def brute_residue_is_division(add, mul, ideal):
+    """Is R/J a division ring, J given by its members?  Every r outside J
+    must have some s with s*r - 1 in J, that is s*r in 1 + J."""
+    add, mul = _rows(add), _rows(mul)
+    inside = set(ideal)
+    one_plus = {add[1][j] for j in inside}
+    return all(
+        any(mul[s][r] in one_plus for s in range(len(mul)))
+        for r in range(len(mul)) if r not in inside
+    )

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import sys
 from collections import Counter
 
 import pytest
 
-from modgraph import checks, graphs, lattice
+from modgraph import checks, graphs, lattice, modules, rings
 from modgraph.checks import (
     ALL_CHECKS,
     APPLICABILITY_FAILED,
@@ -25,9 +26,13 @@ from modgraph.checks import (
     reports_to_jsonl,
     run_suite,
 )
-from modgraph.lattice import section_hom_count
+from modgraph.fields import gf_build
+from modgraph.lattice import enumerate_submodules, prime_radical, section_hom_count
+from modgraph.modules import regular_module
 from modgraph.specs import build_instance, make_spec
-from modgraph.zoo import InstanceContext
+from modgraph.zoo import InstanceContext, contexts, family_specs, named_instance_specs
+
+from .oracles import brute_residue_is_division
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +84,22 @@ def test_c5_exact_counts(ctx_by_id):
         assert rep.details["zero_meet_count"] == q
     rep = check_structured_shapes(ctx_by_id["M2(F3)/regular"])
     assert rep.status == PASS and rep.details["alpha"] == 4
+
+
+def test_c5_reads_the_corner_ring_off_the_socle_interval():
+    # [Soc(R), R] is the lattice of left ideals of the corner ring, whose own
+    # regular lattice is enumerated here for comparison
+    specs = [s for s in named_instance_specs() + family_specs(128) if s["ring"]["kind"] == "triangular"]
+    assert len(specs) == 8
+    for ctx in contexts(specs):
+        spec, lat = ctx.instance.spec["ring"], ctx.lattice
+        soc = lat.socle_index()
+        assert lat.subs[soc].size == (spec["p"] ** spec["k"]) ** 2, ctx.instance_id
+        field = gf_build(spec["p"], spec["subfield_degree"])
+        corner = enumerate_submodules(regular_module(rings.ring_from_field(field)))
+        assert lat.interval_size(soc, lat.full_index) == len(corner), ctx.instance_id
+        rep = check_structured_shapes(ctx)
+        assert rep.status == PASS and rep.details["proper_ideals_of_subring"] == len(corner) - 1
 
 
 def test_c1_counts(ctx_by_id):
@@ -181,6 +202,21 @@ def test_c9_ring_cases(ctx_by_id):
     assert semi.details["ring_case"] == "semisimple-pair"
     z12 = check_triangle_free(ctx_by_id["zmod(12)/regular"])
     assert z12.status == PASS and z12.details["case"] is None
+
+
+def test_c9_residue_of_a_radical_pair_is_a_division_ring(named_contexts):
+    # a product of two rings has two maximal left ideals, so of size:128 only
+    # the base rings can have the radical as their one maximal left ideal
+    base = [s for s in family_specs(128) if s["ring"]["kind"] != "product"]
+    reached = []
+    for ctx in [*named_contexts, *contexts(base)]:
+        rep = check_triangle_free(ctx)
+        if "ring_residue_size" in rep.details:
+            reached.append(ctx.instance_id)
+            ring, rad = ctx.ring, prime_radical(ctx.lattice)
+            assert brute_residue_is_division(ring.add, ring.mul, rad.members), ctx.instance_id
+            assert rep.details["ring_residue_size"] == ring.size // rad.size
+    assert len(reached) == 5 and "polyquot(F5,x^2,x*y,y^2)/regular" in reached
 
 
 def test_c9_runs_past_the_exact_vertex_cap():
@@ -299,6 +335,36 @@ def test_suite_reads_each_structural_fact_once(monkeypatch, named_contexts, fami
         assert len(solved) <= 2, ctx.instance_id
         assert max(scanned.values(), default=0) <= 1, ctx.instance_id
         assert set(scanned) <= set(fresh.lattice.atom_indices()), ctx.instance_id
+
+
+def test_checks_build_no_ring_module_or_lattice(monkeypatch, named_contexts, family16_contexts):
+    # every fact a check needs is read off the instance's own lattice and graph
+    prebuilt = [*named_contexts, *family16_contexts]
+    for ctx in prebuilt:
+        ctx.graph
+    built = Counter()
+
+    def counted_init(cls):
+        real_init = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    def counted_enumerate(*args, **kwargs):
+        built["Lattice"] += 1
+        return enumerate_submodules(*args, **kwargs)
+
+    counted_init(rings.FiniteRing)
+    counted_init(modules.FiniteModule)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("modgraph") and getattr(mod, "enumerate_submodules", None) is enumerate_submodules:
+            monkeypatch.setattr(mod, "enumerate_submodules", counted_enumerate)
+    reports, summary = run_suite(prebuilt)
+    assert not summary.failed and len(reports) == len(prebuilt) * len(ALL_CHECKS)
+    assert built == Counter()
 
 
 def test_length_additivity_catches_a_wrong_kernel_height(named_contexts):

@@ -229,7 +229,9 @@ def test_adjacency_matches_pairwise_oracle(named_contexts, family16_contexts):
     graphs += [graph_of(m) for m in ladder]
     assert [g.n for g in graphs[-4:]] == [65, 127, 210, 0]  # F2 is simple: no vertices
     for g in graphs:
-        assert g.adj == brute_adjacency([sub.members for sub in g.vertices])
+        adj = brute_adjacency([sub.members for sub in g.vertices])
+        assert g.adj == adj
+        assert g.edges() == [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if adj[i] >> j & 1]
 
 
 def test_diameter_two_needs_no_eccentricity(monkeypatch):

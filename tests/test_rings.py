@@ -8,7 +8,6 @@ from modgraph.fields import gf_build
 from modgraph.modules import direct_sum, regular_module
 from modgraph.rings import (
     parse_monomial,
-    quotient_ring,
     ring_from_field,
     ring_from_tables,
     ring_matrix,
@@ -18,6 +17,9 @@ from modgraph.rings import (
     ring_zmod,
 )
 from modgraph.solvers import max_clique
+from modgraph.zoo import family_specs
+
+from .oracles import brute_poly_quot_tables
 
 
 def all_test_rings():
@@ -73,6 +75,15 @@ def test_matrix_ring_against_naive_multiplication():
         assert to_raw(int(ring.mul[i, j])) == raw
 
 
+def test_poly_quot_tables_match_polynomial_arithmetic():
+    rings = [s["ring"] for s in family_specs(64) if s["ring"]["kind"] == "poly_quot"]
+    assert len(rings) == 10
+    for spec in rings:
+        ring = ring_poly_quot(spec["p"], spec["relations"], spec["variables"])
+        add, mul = brute_poly_quot_tables(spec["p"], spec["variables"], spec["relations"])
+        assert ring.add.tolist() == add and ring.mul.tolist() == mul, spec
+
+
 def test_triangular_embeds_in_full_matrix_ring():
     f4 = gf_build(2, 2)
     tri = ring_triangular(f4, 1)
@@ -125,19 +136,6 @@ def test_parse_monomial():
         parse_monomial("z", ["x", "y"])
     with pytest.raises(ConstructionError):
         parse_monomial("x^0", ["x"])
-
-
-def test_quotient_ring_of_z12():
-    z12 = ring_zmod(12)
-    q = quotient_ring(z12, [0, 6])
-    assert q.size == 6
-    assert q.mul[3, 4] == 0  # representatives 3 and 4: 12 = 0 mod 6
-
-
-def test_quotient_ring_rejects_non_ideal():
-    z12 = ring_zmod(12)
-    with pytest.raises(ConstructionError):
-        quotient_ring(z12, [0, 4, 8, 1])
 
 
 def test_division_ring_detection():

@@ -14,7 +14,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modgraph.cli import main
@@ -89,6 +89,13 @@ def _mutate(spec: dict, data) -> None:
 
 @settings(max_examples=120, deadline=None)
 @given(spec=SPECS, mutations=st.integers(0, 2), data=st.data())
+# a power whose decimal form has more digits than Python will print
+@example(
+    spec={"version": 1, "ring": {"kind": "triangular", "p": 2, "k": 2147483648, "subfield_degree": 1},
+          "module": {"kind": "regular"}},
+    mutations=0,
+    data=None,
+)
 def test_cli_answers_every_near_valid_spec_with_an_exit_code(spec, mutations, data):
     spec = copy.deepcopy(spec)  # sampled_from hands out shared objects
     for _ in range(mutations):

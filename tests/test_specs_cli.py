@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from modgraph.rings import ring_zmod
 from modgraph.specs import (
     build_instance,
     build_ring,
+    describe_ring_spec,
     dumps_spec,
     instance_name,
     make_spec,
@@ -225,6 +227,37 @@ def test_cli_oversized_spec_exits_without_traceback(text, code, tmp_path):
     assert "Traceback" not in proc.stderr
     if code == 3:
         assert "max_ring_size=1024" in proc.stderr and len(proc.stderr) < 200
+
+
+def test_a_power_past_the_named_bound_is_written_as_a_power():
+    assert specs_mod.power_name(2, 63) == str(2**63)
+    assert specs_mod.power_name(2, 64) == "2^64"
+    assert specs_mod.power_name(1, 2**31) == "1"
+    assert describe_ring_spec({"kind": "matrix", "p": 3, "k": 10**9, "m": 2}) == "M2(F3^1000000000)"
+
+
+def test_cli_huge_triangular_power_is_refused_by_the_ring_cap(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    ring = {"kind": "triangular", "p": 2, "k": 2147483648, "subfield_degree": 1}
+    path.write_text(json.dumps({"version": 1, "ring": ring, "module": {"kind": "regular"}}))
+    jsonl = tmp_path / "reports.jsonl"
+    start = time.perf_counter()
+    assert main(["verify", str(path), "--jsonl", str(jsonl)]) == 0
+    reports = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert len(reports) == 11 and {r["instance"] for r in reports} == {"triangular(F2^2147483648,F2)/regular"}
+    assert all(r["status"] == "SKIPPED" and "max_ring_size=1024" in r["witness"] for r in reports)
+    capsys.readouterr()
+    assert main(["lattice", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cap exceeded:") and "max_ring_size=1024" in err
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("family", ["size:1", "size:0", "size:-5"])
+def test_cli_family_bound_below_two_exits_two(family, capsys):
+    assert main(["verify", "--family", family]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_cli_subprocess_byte_identical(spec_file):
