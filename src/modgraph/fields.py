@@ -92,6 +92,20 @@ def smallest_irreducible(p: int, k: int) -> Poly:
     raise ConstructionError(f"no irreducible of degree {k} over Z/{p}")  # unreachable
 
 
+def _poly_name(coeffs: list[int]) -> str:
+    """Little-endian coefficients as a polynomial in x, highest term first."""
+    parts = []
+    for d, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if d == 0:
+            parts.append(str(c))
+        else:
+            var = "x" if d == 1 else f"x^{d}"
+            parts.append(var if c == 1 else f"{c}{var}")
+    return "+".join(reversed(parts)) or "0"
+
+
 class FiniteField:
     """GF(p^k) backed by exp/log tables over a deterministic modulus."""
 
@@ -112,6 +126,7 @@ class FiniteField:
         self._verify_inverses()
         self._add_table: np.ndarray | None = None
         self._mul_table: np.ndarray | None = None
+        self._labels: list[str] | None = None
 
     # -- element codecs ----------------------------------------------------
 
@@ -210,20 +225,14 @@ class FiniteField:
             if self.mul(a, self.inv(a)) != 1:
                 raise ConstructionError("inverse table inconsistent")
 
+    def labels(self) -> list[str]:
+        """The name of every element by index, such as "x^2+2x+1", formed once."""
+        if self._labels is None:
+            self._labels = [_poly_name(row) for row in self._digits.tolist()]
+        return self._labels
+
     def label(self, i: int) -> str:
-        cs = self.coeffs(i)
-        if not cs:
-            return "0"
-        parts = []
-        for d, c in enumerate(cs):
-            if c == 0:
-                continue
-            if d == 0:
-                parts.append(str(c))
-            else:
-                var = "x" if d == 1 else f"x^{d}"
-                parts.append(var if c == 1 else f"{c}{var}")
-        return "+".join(reversed(parts))
+        return self.labels()[i]
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.k})"

@@ -37,7 +37,7 @@ class FiniteModule:
         self.size = m
         self.add = frozen_table(add, m)
         self.act = frozen_table(act, m)
-        self.labels = labels
+        self.labels = labels or [str(i) for i in range(m)]
         self.meta = meta or {}
         self._verify()
 
@@ -59,7 +59,7 @@ class FiniteModule:
             raise ConstructionError("module axiom check failed")
 
     def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
+        return self.labels[i]
 
     def __repr__(self) -> str:
         kind = self.meta.get("kind", "module")
@@ -162,7 +162,7 @@ def direct_sum(m1: FiniteModule, m2: FiniteModule, caps: Caps | None = None) -> 
     I1, I2 = idx // s2, idx % s2
     add = s2 * m1.add[np.ix_(I1, I1)].astype(np.int64) + m2.add[np.ix_(I2, I2)]
     act = s2 * m1.act[:, I1].astype(np.int64) + m2.act[:, I2]
-    labels = [f"({m1.label(int(I1[i]))}|{m2.label(int(I2[i]))})" for i in range(m)]
+    labels = [f"({a}|{b})" for a in m1.labels for b in m2.labels]
     return FiniteModule(m1.ring, add, act, labels, {"kind": "direct_sum"}, caps=caps)
 
 
@@ -186,7 +186,7 @@ def quotient(
     proj = pos[rep]
     add = proj[module.add[np.ix_(reps, reps)]]
     act = proj[module.act[:, reps]]
-    labels = [module.label(int(r)) + "~" for r in reps]
+    labels = [module.labels[r] + "~" for r in reps.tolist()]
     q = FiniteModule(module.ring, add, act, labels, {"kind": "quotient"}, caps=caps)
     return q, proj
 
@@ -211,5 +211,5 @@ def submodule_as_module(sub: Submodule, caps: Caps | None = None) -> FiniteModul
     act = pos[parent.act[:, mem]]
     if add.min() < 0 or act.min() < 0:
         raise ConstructionError("member set is not closed")
-    labels = [parent.label(int(x)) for x in mem]
+    labels = [parent.labels[x] for x in sub.members]
     return FiniteModule(parent.ring, add, act, labels, {"kind": "submodule"}, caps=caps)

@@ -12,6 +12,9 @@ by one O(n^2 log n) check over additive generators (`module_laws_hold`).
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import product
+
 import numpy as np
 
 from .caps import Caps, capped_power, check_characteristic
@@ -56,27 +59,38 @@ def _additive_generators(add: np.ndarray) -> np.ndarray:
 
 def module_laws_hold(add, act, radd, rmul) -> bool:
     """The four laws of a left module (add, act) over the ring (radd, rmul),
-    decided exactly though one argument runs over additive generators only:
+    decided exactly though arguments run over additive generators where that
+    suffices.  With g the generators of add and s those of radd, and every
+    other argument over all elements, the laws are checked in this order:
 
-      1. (x+a)+y = x+(a+y)  and  2. r(x+a) = rx+ra,  a over add's generators;
-      3. (r+s)x = rx+sx     and  4. (rs)x = r(sx),   s over radd's generators.
+      1. (x+a)+y = x+(a+y),  a in g;
+      3. (r+s)x = rx+sx,     s in s;
+      2. r(x+a) = rx+ra,     r in s, a in g;
+      4. (rs)x = r(sx),      r, s in s, x in g.
 
     Callers have checked that 0 is an additive identity, + commutative and
-    every element invertible.  The elements satisfying a law are closed
-    under + and include 0, so a law that holds on generators holds for all.
-    Law 1 needs no other law for that (Light's associativity test,
-    Clifford-Preston I, section 1.2); law 2 needs law 1; law 3 needs laws
-    1-2 and associative ring addition; law 4 needs laws 2-3 and the ring's
-    left distributivity.  A ring is its own module, (add, mul, add, mul):
-    laws 1-2 check its addition and left distributivity before 3-4 use them.
+    every element invertible.  When a law holds for all values of its other
+    arguments, the values of one argument that satisfy it are closed under
+    +, so a law that holds on generators holds for all (with + associative,
+    0 is a multiple of any generator).  Law 1 needs no other law for that
+    (Light's associativity test, Clifford-Preston I, section 1.2).  Law 3
+    needs associative + in ring and module.  Law 2 needs law 1 in a and law
+    3 in r.  Law 4 needs, in r, law 3 and the ring's right distributivity;
+    in s, laws 2-3 and its left distributivity; in x, law 2.  A ring is its
+    own module, (add, mul, add, mul): laws 1, 3 and 2 check its addition
+    and both distributive laws before law 4 uses them.
     """
     g = _additive_generators(add)
     s = g if radd is add else _additive_generators(radd)
+    sums = add[add[g]]  # (a+x)+y, which is (x+a)+y, and is x+(a+y) if swapping x, y fixes it
+    flat, scaled = add.ravel(), act.astype(np.intp) * add.shape[0]  # u+v at u * len(add) + v
+    sx = act[s]
+    sg = sx[:, g]
     return (
-        np.array_equal(add[add[:, g]], add[:, add[g]])
-        and np.array_equal(act[:, add[:, g]], add[act[:, :, None], act[:, None, g]])
-        and np.array_equal(act[radd[:, s]], add[act[:, None, :], act[None, s, :]])
-        and np.array_equal(act[rmul[:, s]], act[:, act[s]])
+        np.array_equal(sums, sums.transpose(0, 2, 1))
+        and all(np.array_equal(act[radd[:, t]], flat[scaled + act[t]]) for t in s)
+        and np.array_equal(sx[:, add[:, g]], add[sx[:, :, None], sg[:, None, :]])
+        and np.array_equal(act[rmul[s][:, s, None], g], sx[:, sg])
     )
 
 
@@ -102,7 +116,7 @@ class FiniteRing:
         self.zero = 0
         self.one = 1
         self.backend_tag = backend_tag
-        self.labels = labels
+        self.labels = labels or [str(i) for i in range(n)]
         self.meta = meta or {}
         self._verify()
 
@@ -127,7 +141,7 @@ class FiniteRing:
     # -- conveniences ------------------------------------------------------
 
     def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
+        return self.labels[i]
 
     def is_division_ring(self) -> bool:
         for a in range(1, self.size):
@@ -141,17 +155,19 @@ class FiniteRing:
 
 
 def _relabel_unity(add: np.ndarray, mul: np.ndarray, one_raw: int, labels: list[str]):
-    """Swap indices so the unity sits at 1 (zero is at 0 by construction)."""
-    n = add.shape[0]
+    """Swap indices 1 and one_raw so the unity sits at 1 (zero is at 0 by
+    construction).  Rows and columns are swapped in place, so the tables
+    must be the caller's own."""
     if one_raw == 1:
         return add, mul, labels
-    perm = np.arange(n, dtype=TABLE_DTYPE)
-    perm[one_raw], perm[1] = 1, one_raw
-    inv = perm  # a transposition is its own inverse
-    add2 = perm[add[inv][:, inv]]
-    mul2 = perm[mul[inv][:, inv]]
-    labels2 = [labels[inv[i]] for i in range(n)]
-    return add2, mul2, labels2
+    swap, perm = [1, one_raw], np.arange(add.shape[0], dtype=TABLE_DTYPE)
+    perm[swap] = swap[::-1]
+    for table in (add, mul):
+        table[swap] = table[swap[::-1]]
+        table[:, swap] = table[:, swap[::-1]]
+    labels = list(labels)
+    labels[1], labels[one_raw] = labels[one_raw], labels[1]
+    return perm[add], perm[mul], labels
 
 
 # -- builders -------------------------------------------------------------
@@ -170,9 +186,8 @@ def ring_zmod(n: int, caps: Caps | None = None) -> FiniteRing:
 
 
 def ring_from_field(field: FiniteField, caps: Caps | None = None) -> FiniteRing:
-    labels = [field.label(i) for i in range(field.size)]
     meta = {"p": field.p, "k": field.k, "modulus": list(field.modulus)}
-    return FiniteRing(field.add_table(), field.mul_table(), "gf", labels, meta, caps=caps)
+    return FiniteRing(field.add_table(), field.mul_table(), "gf", list(field.labels()), meta, caps=caps)
 
 
 def _algebra_tables(fa: np.ndarray, fm: np.ndarray, prod: np.ndarray):
@@ -181,30 +196,50 @@ def _algebra_tables(fa: np.ndarray, fm: np.ndarray, prod: np.ndarray):
     base-q digits of i as coordinates, lowest first.  Returns (digits, add,
     mul), digits[i] being the coordinates of element i."""
     q, d = fa.shape[0], prod.shape[0]
-    fa, fm = fa.ravel(), fm.ravel()  # entry (a, b) at a * q + b
-    weights = q ** np.arange(d)
-    digits = np.arange(q**d)[:, None] // weights % q
-    add = fa[digits[:, None] * q + digits[None, :]] @ weights
-    coords = np.zeros((d,) + add.shape, dtype=np.int64)  # coords[u]: coordinate u of each product
-    for s, t in zip(*np.nonzero(prod >= 0)):
-        u = prod[s, t]
-        coords[u] = fa[coords[u] * q + fm[digits[:, s, None] * q + digits[None, :, t]]]
-    return digits, add, np.tensordot(weights, coords, 1)
+    n, cut = q**d, q ** (d // 2)
+    fa, fm = fa.astype(np.intp), fm.astype(np.intp)
+    digits = np.arange(n)[:, None] // q ** np.arange(d) % q
+
+    def sums(k):  # the sums of the q^k elements on the lowest k coordinates
+        out = np.zeros((q**k, q**k), dtype=np.intp)
+        for u in reversed(range(k)):  # Horner in q, highest coordinate first
+            out *= q
+            out += fa[digits[: q**k, u]][:, digits[: q**k, u]]
+        return out
+
+    def products(rows):  # coordinate u of x*y is the field sum of x_s y_t over prod[s, t] = u
+        out = np.zeros((len(rows), n), dtype=np.intp)
+        for u in reversed(range(d)):
+            terms = [fm[digits[rows, s]][:, digits[:, t]] for s, t in zip(*np.nonzero(prod == u))]
+            out *= q
+            out += reduce(lambda x, y: fa.ravel()[x * q + y], terms, 0)
+        return out
+
+    # element i is (i % cut) + (i - i % cut), whose coordinates are apart:
+    # sums add part by part, and by distributivity products are sums of
+    # the two parts' products
+    high, low = divmod(np.arange(n), cut)
+    add = sums(d // 2)[low][:, low] + cut * sums(d - d // 2)[high][:, high]
+    mul = add.ravel()[n * products(np.arange(cut))[low] + products(np.arange(0, n, cut))[high]]
+    return digits, add, mul
+
+
+def _bracketed(names: list[str], m: int) -> list[str]:
+    """"[a0,...,a(m-1)]" for every m-tuple of names, in the order of the
+    index sum(names.index(a_t) * len(names)**t)."""
+    return ["[" + ",".join(reversed(t)) + "]" for t in product(names, repeat=m)]
 
 
 def ring_matrix(field: FiniteField, m: int, caps: Caps | None = None) -> FiniteRing:
     caps = caps or Caps()
     q = field.size
-    n = capped_power(q, m * m, caps.max_ring_size, "matrix ring")
+    capped_power(q, m * m, caps.max_ring_size, "matrix ring")
     # matrix units in row-major order: e_(r,s) e_(s,c) = e_(r,c)
     row, col = np.divmod(np.arange(m * m), m)
     prod = np.where(col[:, None] == row[None, :], row[:, None] * m + col[None, :], -1)
-    digits, add, mul = _algebra_tables(field.add_table(), field.mul_table(), prod)
+    _, add, mul = _algebra_tables(field.add_table(), field.mul_table(), prod)
     one_raw = sum(q ** (r * m + r) for r in range(m))
-    labels = [
-        "[" + ",".join("[" + ",".join(map(field.label, entries)) + "]" for entries in matrix) + "]"
-        for matrix in digits.reshape(n, m, m).tolist()
-    ]
+    labels = _bracketed(_bracketed(field.labels(), m), m)  # rows, then matrices
     add, mul, labels = _relabel_unity(add, mul, one_raw, labels)
     meta = {"p": field.p, "k": field.k, "m": m, "q": q}
     return FiniteRing(add, mul, "matrix", labels, meta, caps=caps)
@@ -213,33 +248,24 @@ def ring_matrix(field: FiniteField, m: int, caps: Caps | None = None) -> FiniteR
 def ring_triangular(delta: FiniteField, j: int, caps: Caps | None = None) -> FiniteRing:
     """Matrices [[a, b], [0, c]] with a, b in delta and c in its degree-j subfield."""
     caps = caps or Caps()
-    emb = subfield(delta, j)
-    q, w = delta.size, emb.subfield.size
-    n = q * q * w
-    if n > caps.max_ring_size:
+    q = delta.size
+    n = q * q * delta.p**j if delta.k % j == 0 else 0  # `subfield` reports a j not dividing k
+    if n > caps.max_ring_size:  # refused before the embedding is sought
         raise CapExceeded(f"triangular ring size {n} exceeds cap max_ring_size={caps.max_ring_size}")
-    fa, fm = delta.add_table(), delta.mul_table()
-    sa, sm = emb.subfield.add_table(), emb.subfield.mul_table()
-    embarr = np.array(emb.image, dtype=np.int64)
+    emb = subfield(delta, j)
+    w = emb.subfield.size
+    fa, fm, sa, sm = (
+        table.astype(np.intp)
+        for table in (delta.add_table(), delta.mul_table(), emb.subfield.add_table(), emb.subfield.mul_table())
+    )
     idx = np.arange(n)
-    A = idx % q
-    B = (idx // q) % q
-    C = idx // (q * q)
-    add = (
-        fa[A[:, None], A[None, :]].astype(np.int64)
-        + q * fa[B[:, None], B[None, :]].astype(np.int64)
-        + q * q * sa[C[:, None], C[None, :]].astype(np.int64)
-    )
-    mul = (
-        fm[A[:, None], A[None, :]].astype(np.int64)
-        + q * fa[fm[A[:, None], B[None, :]], fm[B[:, None], embarr[C][None, :]]].astype(np.int64)
-        + q * q * sm[C[:, None], C[None, :]].astype(np.int64)
-    )
+    A, B, C = idx % q, idx // q % q, idx // (q * q)
+    c = np.array(emb.image)[C]  # the corner entry, in delta
+    add = fa[A][:, A] + q * fa[B][:, B] + q * q * sa[C][:, C]
+    mul = fm[A][:, A] + q * fa.ravel()[q * fm[A][:, B] + fm[B][:, c]] + q * q * sm[C][:, C]
     one_raw = 1 + q * q * 1  # a=1, b=0, c=1
-    labels = [
-        f"[[{delta.label(int(A[i]))},{delta.label(int(B[i]))}],[0,{delta.label(int(embarr[C[i]]))}]]"
-        for i in range(n)
-    ]
+    names = delta.labels()
+    labels = [f"[[{a},{b}],[0,{names[c]}]]" for c in emb.image for b in names for a in names]
     add, mul, labels = _relabel_unity(add, mul, one_raw, labels)
     meta = {"p": delta.p, "k": delta.k, "q": q, "subfield_degree": j, "subfield_size": w}
     return FiniteRing(add, mul, "triangular", labels, meta, caps=caps)
@@ -256,7 +282,7 @@ def ring_product(r1: FiniteRing, r2: FiniteRing, caps: Caps | None = None) -> Fi
     add = r2.size * r1.add[I1[:, None], I1[None, :]].astype(np.int64) + r2.add[I2[:, None], I2[None, :]]
     mul = r2.size * r1.mul[I1[:, None], I1[None, :]].astype(np.int64) + r2.mul[I2[:, None], I2[None, :]]
     one_raw = 1 * n2 + 1
-    labels = [f"({r1.label(int(I1[i]))},{r2.label(int(I2[i]))})" for i in range(n)]
+    labels = [f"({a},{b})" for a in r1.labels for b in r2.labels]
     add, mul, labels = _relabel_unity(add, mul, one_raw, labels)
     meta = {"left": r1.backend_tag, "right": r2.backend_tag}
     return FiniteRing(add, mul, "product", labels, meta, caps=caps)
@@ -330,7 +356,7 @@ def ring_poly_quot(
     basis.sort(key=lambda mo: (sum(mo), mo))
     bpos = {mo: t for t, mo in enumerate(basis)}
     nb = len(basis)
-    n = capped_power(p, nb, caps.max_ring_size, "quotient ring")
+    capped_power(p, nb, caps.max_ring_size, "quotient ring")
     # product of basis monomials: basis position or -1 when it falls in the ideal
     prod = np.full((nb, nb), -1, dtype=np.int64)
     for s in range(nb):
@@ -347,11 +373,11 @@ def ring_poly_quot(
         return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(variables, mo) if e)
 
     labels = []
-    for i in range(n):
+    for coords in D.tolist():
         parts = [
             (mono_label(basis[t]) if (c == 1 and sum(basis[t]) > 0) else
              (str(c) if sum(basis[t]) == 0 else f"{c}{mono_label(basis[t])}"))
-            for t, c in enumerate(D[i])
+            for t, c in enumerate(coords)
             if c
         ]
         labels.append("+".join(parts) if parts else "0")

@@ -7,6 +7,7 @@ Enumeration order and instance ids are deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 
 from .caps import Caps
@@ -110,10 +111,13 @@ def family_specs(max_ring_size: int) -> list[dict]:
     the base constructors plus unordered products of two base rings."""
     base = _base_ring_specs(max_ring_size)
     specs = [make_spec(ring, REGULAR) for _, ring in base]
+    by_size = sorted(range(len(base)), key=lambda j: base[j][0])
+    sizes = [base[j][0] for j in by_size]
     for i, (sa, ra) in enumerate(base):
-        for sb, rb in base[i:]:
-            if sa * sb <= max_ring_size:
-                specs.append(make_spec({"kind": "product", "left": ra, "right": rb}, REGULAR))
+        # the partners of size <= max_ring_size // sa, visited in list order
+        fits = by_size[: bisect_right(sizes, max_ring_size // sa)]
+        for j in sorted(j for j in fits if j >= i):
+            specs.append(make_spec({"kind": "product", "left": ra, "right": base[j][1]}, REGULAR))
     return specs
 
 

@@ -14,7 +14,7 @@ import pytest
 from modgraph.errors import ConstructionError
 from modgraph.fields import gf_build, subfield
 from modgraph.modules import custom_module, direct_sum, regular_module
-from modgraph.rings import module_laws_hold, ring_from_field, ring_from_tables
+from modgraph.rings import module_laws_hold, ring_from_field, ring_from_tables, ring_product, ring_zmod
 
 from .oracles import brute_is_module, brute_is_ring
 
@@ -105,6 +105,17 @@ def test_law_check_agrees_with_oracle_on_corruptions(rings, non_regular_modules)
                 brute_is_module(mod.add, bad, r.add, r.mul),
                 module_msg,
             )
+        # r(x+a) = rx+ra runs over the module's additive generators a
+        m = mod.size
+        for i, j, v in _slice([(i, j) for i in range(1, m) for j in range(i, m)], mod.add):
+            bad = mod.add.copy()
+            bad[i, j] = bad[j, i] = v
+            cases += 1
+            by_laws += _agrees(
+                lambda: custom_module(r, bad, act),
+                brute_is_module(bad, act, r.add, r.mul),
+                module_msg,
+            )
     assert cases > 2000 and by_laws > 1500, (cases, by_laws)
 
 
@@ -188,3 +199,35 @@ def test_action_failing_only_additivity_is_rejected():
     assert not brute_is_module(f16.add_table(), bad, f4.add, f4.mul)
     with pytest.raises(ConstructionError, match="module axiom check failed"):
         custom_module(f4, f16.add_table(), bad)
+
+
+def test_action_failing_additivity_only_off_the_first_generator_is_rejected():
+    """F2 x F2 acting on F2^3 (indices 0-7 under XOR), with e = (1,0) acting
+    by a map A that is idempotent and additive along 1 (A(x+1) = A(x) + A(1)),
+    but A(2+4) != A(2) + A(4): r(x+a) = rx+ra fails only where a is a later
+    generator."""
+    ring = ring_product(ring_zmod(2), ring_zmod(2))
+    add = np.bitwise_xor.outer(np.arange(8), np.arange(8))
+    a_map = np.array([0, 0, 0, 0, 0, 0, 1, 1])  # A(6) = A(7) = 1, else 0
+    act = np.zeros((4, 8), dtype=np.int64)
+    act[ring.labels.index("(1,1)")] = np.arange(8)
+    act[ring.labels.index("(1,0)")] = a_map
+    act[ring.labels.index("(0,1)")] = np.arange(8) ^ a_map
+    assert not brute_is_module(add, act, ring.add, ring.mul)
+    with pytest.raises(ConstructionError, match="module axiom check failed"):
+        custom_module(ring, add, act)
+
+
+def test_action_failing_right_distributivity_only_off_the_unity_is_rejected():
+    """Z/4 x Z/2 acting on Z/4: (a,b) acts as k, where (a,b) = k(1,1) +
+    t(1,0) with t in {0,1}, so e = (1,0) acts as 0.  (r+1)x = rx+x and every
+    other law checked on generators hold, but (e+e)x = 2x != ex + ex."""
+    ring = ring_product(ring_zmod(4), ring_zmod(2))
+    act = np.zeros((8, 4), dtype=np.int64)
+    for a, b in product(range(4), range(2)):
+        k = a - (a - b) % 2
+        act[ring.labels.index(f"({a},{b})")] = k * np.arange(4) % 4
+    z4 = ring_zmod(4)
+    assert not brute_is_module(z4.add, act, ring.add, ring.mul)
+    with pytest.raises(ConstructionError, match="module axiom check failed"):
+        custom_module(ring, z4.add, act)

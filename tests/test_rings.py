@@ -184,6 +184,15 @@ def test_zmod_cap_is_checked_before_any_table(monkeypatch):
         ring_zmod(9, caps=Caps(max_ring_size=8))
 
 
+def test_triangular_cap_is_checked_before_the_subfield_embedding(monkeypatch):
+    def no_embedding(*args):
+        raise AssertionError("the subfield embedding was sought before the cap check")
+
+    monkeypatch.setattr(rings, "subfield", no_embedding)
+    with pytest.raises(CapExceeded, match="max_ring_size=1024"):
+        ring_triangular(gf_build(2, 10), 5)
+
+
 def test_table_ring_validation():
     z4 = ring_zmod(4)
     ok = ring_from_tables(z4.add.tolist(), z4.mul.tolist())

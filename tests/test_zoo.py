@@ -1,5 +1,12 @@
+import hashlib
+
+import pytest
+
+from modgraph.specs import make_spec
 from modgraph.zoo import (
     FILTERS,
+    REGULAR,
+    _base_ring_specs,
     contexts,
     family,
     family_specs,
@@ -79,6 +86,43 @@ def test_family_is_deterministic():
     a = [s["ring"] for s in family_specs(12)]
     b = [s["ring"] for s in family_specs(12)]
     assert a == b
+
+
+def _family_specs_by_all_pairs(max_ring_size):
+    """family_specs as it was first written: every pair of base rings is
+    visited, and those past the bound are dropped."""
+    base = _base_ring_specs(max_ring_size)
+    specs = [make_spec(ring, REGULAR) for _, ring in base]
+    for i, (sa, ra) in enumerate(base):
+        for sb, rb in base[i:]:
+            if sa * sb <= max_ring_size:
+                specs.append(make_spec({"kind": "product", "left": ra, "right": rb}, REGULAR))
+    return specs
+
+
+@pytest.mark.parametrize("max_ring_size", [2, 16, 64, 300])
+def test_family_specs_match_the_all_pairs_loop(max_ring_size):
+    assert family_specs(max_ring_size) == _family_specs_by_all_pairs(max_ring_size)
+
+
+# sha256 of every element label of each ring and module, in order, over the
+# named instances and the size:16 family; a change to it is a change to the
+# names every command prints
+LABEL_SHA256 = {
+    "named": "d1c3d17c7fe56971b69c72ee6f1cfbff494c8cb91dae1dc6541ff00ae56e12cd",
+    "size:16": "b48f9b946121334338eda396ddca85c6dbc98e8d2ec6c5c2398565b160ff78b4",
+}
+
+
+def test_every_element_label_is_pinned(named_contexts, family16_contexts):
+    got = {}
+    for family_name, ctxs in [("named", named_contexts), ("size:16", family16_contexts)]:
+        digest = hashlib.sha256()
+        for ctx in ctxs:
+            for obj in (ctx.ring, ctx.module):
+                digest.update(("\t".join(obj.label(i) for i in range(obj.size)) + "\n").encode())
+        got[family_name] = digest.hexdigest()
+    assert got == LABEL_SHA256
 
 
 def test_triangle_free_filter():
