@@ -110,13 +110,7 @@ class FiniteField:
     """GF(p^k) backed by exp/log tables over a deterministic modulus."""
 
     def __init__(self, p: int, k: int, caps: Caps | None = None):
-        caps = caps or Caps()
-        if k < 1:
-            raise ConstructionError(f"extension degree must be >= 1, got {k}")
-        check_characteristic(p, caps.max_ring_size)
-        if not is_prime(p):
-            raise ConstructionError(f"characteristic {p} is not prime")
-        size = capped_power(p, k, caps.max_ring_size, "field")
+        size = field_size(p, k, caps or Caps())
         self.p = p
         self.k = k
         self.size = size
@@ -247,6 +241,18 @@ class SubfieldEmbedding:
 
     def __call__(self, i: int) -> int:
         return self.image[i]
+
+
+def field_size(p: int, k: int, caps: Caps) -> int:
+    """p**k, once p and k are checked as FiniteField checks them: a builder
+    of a larger ring over GF(p^k) calls it to refuse that ring before the
+    field is built."""
+    if k < 1:
+        raise ConstructionError(f"extension degree must be >= 1, got {k}")
+    check_characteristic(p, caps.max_ring_size)
+    if not is_prime(p):
+        raise ConstructionError(f"characteristic {p} is not prime")
+    return capped_power(p, k, caps.max_ring_size, "field")
 
 
 def gf_build(p: int, k: int, caps: Caps | None = None) -> FiniteField:

@@ -1,30 +1,34 @@
 """Exhaustive submodule lattices and structure theory built on them.
 
 Enumeration is by cyclic extension (Lux, Mueller and Ringe, "Peakword
-condensation and submodule lattices", J. Symb. Comp. 1994), taken over
-cosets: starting from {0}, each new submodule S is extended to S + Rx for
-one x per coset x + S other than S (`enumerate_submodules` says why this
-reaches every submodule).  The submodules found wait in levels by size, and
-the smallest level is extended next, whole: every member of it is already
-known, since each is M' + Rx for a smaller M', and every S + Rx is larger
-than S.  One level runs as a few numpy kernels over all its members at
-once, cut into batches of at most _BATCH_CELLS array cells so memory stays
-bounded, and each member's bitset and member tuple go to its `Submodule`
-as found.  The canonical order is (size, member tuple), and all vertex
-numbering downstream derives from it.
+condensation and submodule lattices", J. Symb. Comp. 1994), S -> S + Rx,
+made isomorph-free by canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998): each member N != 0 has one
+canonical parent, the span S of all its greedy generators but the last,
+x, and is built from that (S, x) only, so every member is found exactly
+once, and every member is reached (`enumerate_submodules` says why).  The
+members found wait in levels by size, and the smallest level is extended
+next, whole: each parent is smaller than its child, so every member of the
+level is already known.  One level runs as a few numpy kernels over all
+its members at once, cut into batches of at most _BATCH_CELLS array cells
+so memory stays bounded.  The canonical order is (size, member tuple), and
+all vertex numbering downstream derives from it: a level, once complete, is
+sorted by member tuple and its members' bitsets and member tuples go to
+their `Submodule`s, so the members come out in canonical order.
 
 Each lattice computes its order kernel once, on first use: the up-sets,
-from the (S, x) that first gave each member N = S + Rx with no pairwise
-comparison of members, and heights, levels and atoms from the up-sets.
+from the canonical parent (S, x) of each member N = S + Rx with no
+pairwise comparison of members, and heights, levels and atoms from the
+up-sets.
 Quotient and section facts are read off it as intervals: by the
 correspondence theorem Lat(B/A) is the interval [A, B], so no quotient
 module is built and no lattice is enumerated again to answer them.
 
 Generators are a lattice fact too: `gens(i)` is the greedy generator list
-of member i (each generator the smallest element not yet generated), found
-by joining cyclic members Rx, each the first member in canonical order
-containing x, and cached per lattice; `describe(i)` labels a member by it.
-No member is closed again to find them.
+of member i (each generator the smallest element not yet generated), those
+of its canonical parent and then x, as the enumeration recorded them;
+`describe(i)` labels a member by it.  No member is closed again to find
+them.
 
 The socle facts the checks share live here too: `socle_pair` and the atom
 hom counts `hom_count(a, b)`, each computed once per lattice from the atoms
@@ -39,7 +43,8 @@ as the intersection of the maximal left ideals).
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from operator import or_
+from itertools import chain
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 import numpy as np
@@ -70,20 +75,19 @@ class _Order(NamedTuple):
 class Lattice:
     """All submodules of a module, in canonical order, with meet/join."""
 
-    def __init__(
-        self, module: FiniteModule, subs: list[Submodule], parents: dict[int, tuple[int, int]]
-    ):
-        """parents maps the bitset of every nonzero member N to a pair
-        (bitset of S, x) with S < N and N = S + Rx, as the enumeration
-        found it; the order kernel is built from these pairs."""
+    def __init__(self, module: FiniteModule, subs: list[Submodule], parents: dict[int, tuple]):
+        """subs are the members in canonical order.  parents maps the bitset
+        of every member N to (bitset of S, gens): gens are N's greedy
+        generators, and N = S + Rx for x the last of them, S being spanned
+        by the others (0 has none).  The order kernel is built from these
+        (S, x)."""
         self.module = module
-        self.subs = tuple(sorted(subs, key=lambda s: s.key))
+        self.subs = tuple(subs)
         self._parents = parents
         self._pos = {s.bits: i for i, s in enumerate(self.subs)}
         self.zero_index = self._pos[1]
         self.full_index = self._pos[(1 << module.size) - 1]
         self._homs: dict[tuple[int, int], int] = {}
-        self._gens: dict[int, tuple[int, ...]] = {}
         self._downs: dict[int, int] = {}
 
     def __len__(self) -> int:
@@ -128,16 +132,8 @@ class Lattice:
 
     def gens(self, i: int) -> tuple[int, ...]:
         """Greedy generators of member i: each is the smallest member
-        element outside the span of the earlier ones, the lowest bit of
-        bits(N) & ~bits(span)."""
-        if i not in self._gens:
-            gens, span, bits = [], self.zero_index, self.subs[i].bits
-            while rest := bits & ~self.subs[span].bits:
-                x = (rest & -rest).bit_length() - 1
-                gens.append(x)
-                span = self.join_index(span, self._cyclic[x])
-            self._gens[i] = tuple(gens)
-        return self._gens[i]
+        element outside the span of the earlier ones."""
+        return self._parents[self.subs[i].bits][1]
 
     def describe(self, i: int) -> str:
         """Member i by its generators' labels, such as <2,3>, or <0>."""
@@ -151,8 +147,8 @@ class Lattice:
         up = [(1 << n) - 1] * n
         for i, s in enumerate(self.subs):
             if i != self.zero_index:
-                parent, x = self._parents[s.bits]
-                up[i] = up[pos[parent]] & holders[x]
+                parent, gens = self._parents[s.bits]
+                up[i] = up[pos[parent]] & holders[gens[-1]]
         # every member below i comes before i, so reach[k], the members
         # strictly above one of height k, is complete when the walk gets to i
         heights, reach, levels = [0] * n, [], [0]
@@ -315,77 +311,85 @@ _BATCH_CELLS = 1 << 20
 
 
 def enumerate_submodules(module: FiniteModule, caps: Caps | None = None) -> Lattice:
-    """Every submodule of module, by cyclic extension over cosets.
+    """Every submodule of module, each built once, by canonical augmentation
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998) of
+    the cyclic extension S -> S + Rx.
 
-    Each submodule S is extended to S + Rx for one x in each coset x + S
-    other than S: S + Rx depends only on the coset, because R(x + s) lies
-    in Rx + S.  This reaches every submodule N other than 0, since
-    N = M' + Rx for any maximal M' < N and any x in N outside M'.
-    S + Rx is the union of the cosets of S that meet Rx, marked by their
-    least elements rep.
+    The greedy generators g1 < ... < gk of a member N != 0 (each the least
+    element of N outside the span of those before it) name one canonical
+    parent: S = span(g1, ..., g(k-1)), with N = S + Rx for x = gk, and x
+    the least element of N outside S.  Conversely, if x lies above the last
+    generator of S and is the least element of S + Rx outside S, the greedy
+    generators of S + Rx are those of S, then x: the generators of S lie
+    below x, and every element of S + Rx below x lies in S.  So S is
+    extended only by such x, and each member is found once, from its
+    canonical parent.  Every member is reached, by induction on k, as its
+    canonical parent is reached first.
 
-    The submodules found wait in size levels, and the smallest level is
-    extended next, many members per run of a few numpy kernels.  A level is
-    complete when it is taken: its members are M' + Rx for smaller M',
-    whose levels were extended before, and S + Rx, being larger than S,
-    only ever joins a later level.  Every S of one level has the same
-    number |M|/|S| - 1 of cosets besides itself, so a batch's arrays are
-    rectangular.  A level is cut into batches of at most _BATCH_CELLS
-    cells per intermediate array, so memory stays bounded.
+    S + Rx is the union of the cosets of S that meet Rx, each marked by its
+    least element rep, so x is the least element of S + Rx outside S when
+    it is the least element of its coset and no element of Rx has a rep in
+    (0, x).  Only S + Rx for such x is formed.
 
-    Every new submodule counts against caps.max_submodules, and the (S, x)
-    that found it first is handed to the lattice as its parent.
+    The members found wait in levels by size, and the smallest level is
+    extended next, many members per run of a few numpy kernels: its members
+    have all been found, since each parent is smaller than its child, so
+    levels taken in turn and sorted give the canonical order.  A level is
+    cut into batches of at most _BATCH_CELLS cells per intermediate array,
+    so memory stays bounded.
+
+    Every member counts once against caps.max_submodules, and each is
+    handed to the lattice with its canonical parent and its generators.
     """
     caps = caps or Caps()
     size = module.size
     add, act_t = module.add, module.act.T  # act_t[x] lists Rx, one entry per r
     carrier = np.arange(size)
-    zero = (0,)
-    subs = [Submodule(module, zero, bits=1)]
-    parents: dict[int, tuple[int, int]] = {}  # also the set of nonzero members found
-    pending: dict[int, list[tuple[int, tuple[int, ...]]]] = {1: [(1, zero)]}
+    subs: list[Submodule] = []
+    parents: dict[int, tuple[int, tuple[int, ...]]] = {1: (1, ())}
+    # pending[s] holds (bits, members, gens) of the members of size s not yet extended
+    pending: dict[int, list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = {1: [(1, (0,), ())]}
     while pending:
         s = min(pending)
-        level = pending.pop(s)
+        level = sorted(pending.pop(s), key=itemgetter(1))  # complete, so in canonical order
+        subs.extend(Submodule(module, members, bits=b) for b, members, _ in level)
         cosets = size // s - 1  # the cosets of each S other than S itself
         if not cosets:
             continue
         step = max(1, _BATCH_CELLS // (max(s, cosets) * max(size, act_t.shape[1])))
         for first in range(0, len(level), step):
             batch = level[first:first + step]
-            f = len(batch)
+            in_s = np.fromiter(chain.from_iterable(m for _, m, _ in batch), np.intp, len(batch) * s)
             # add is symmetric, so its rows at S's members are the cosets s + y
-            rep = add[np.array([m for _, m in batch])].min(axis=1)  # f x size
-            xs = np.nonzero(rep == carrier)[1].reshape(f, cosets + 1)[:, 1:]  # 0 represents S
-            rows = rep + np.arange(0, f * size, size)[:, None]  # hit row of y's coset
-            # hit[rows[f, y], j]: the coset of y meets R xs[f, j]
-            hit = np.zeros((f * size, cosets), dtype=bool)
-            rx = np.take_along_axis(rows, act_t[xs].reshape(f, -1), axis=1)
-            hit[rx.reshape(f, cosets, -1), np.arange(cosets)[:, None]] = True
-            masks = hit[rows].transpose(0, 2, 1).reshape(f * cosets, size)
+            rep = add[in_s.reshape(-1, s)].min(axis=1)  # f x size
+            last = np.array([g[-1] if g else 0 for _, _, g in batch])
+            ks, xs = np.nonzero((rep == carrier) & (carrier > last[:, None]))
+            # the reps of the cosets Rx meets, 0 being S; indices into the
+            # flattened arrays are offset by size per row, here and below
+            met = rep.ravel()[(ks * size)[:, None] + act_t[xs]]
+            keep = ((met == 0) | (met >= xs[:, None])).all(axis=1)
+            ks, xs, met = ks[keep], xs[keep], met[keep]
+            if not len(ks):
+                continue
+            if len(parents) + len(ks) > caps.max_submodules:
+                raise CapExceeded(
+                    f"more than max_submodules={caps.max_submodules} submodules;"
+                    " raise the cap to proceed"
+                )
+            offset = np.arange(0, len(ks) * size, size)[:, None]
+            hit = np.zeros(len(ks) * size, dtype=bool)  # at k * size + c: coset c is in S + Rx
+            hit[met + offset] = True
+            masks = hit[rep[ks] + offset]
             packed = np.packbits(masks, axis=1, bitorder="little")
             raw, width = packed.tobytes(), packed.shape[1]
-            fresh, found = [], []
-            for k, x in enumerate(xs.ravel().tolist()):
-                b = int.from_bytes(raw[k * width:(k + 1) * width], "little")
-                if b not in parents:
-                    parents[b] = (batch[k // cosets][0], x)
-                    fresh.append(k)
-                    found.append(b)
-                    if len(parents) + 1 > caps.max_submodules:  # + 1 for 0
-                        raise CapExceeded(
-                            f"more than max_submodules={caps.max_submodules} submodules;"
-                            " raise the cap to proceed"
-                        )
-            if not fresh:
-                continue
-            cols = np.nonzero(masks[fresh])[1].tolist()
+            cols = np.nonzero(masks)[1].tolist()
             end = 0
-            for b in found:
+            for k, (row, x) in enumerate(zip(ks.tolist(), xs.tolist())):
+                b = int.from_bytes(raw[k * width:(k + 1) * width], "little")
                 begin, end = end, end + b.bit_count()
-                members = tuple(cols[begin:end])
-                subs.append(Submodule(module, members, bits=b))
-                pending.setdefault(end - begin, []).append((b, members))
+                members, gens = tuple(cols[begin:end]), batch[row][2] + (x,)
+                parents[b] = (batch[row][0], gens)
+                pending.setdefault(end - begin, []).append((b, members, gens))
     return Lattice(module, subs, parents)
 
 

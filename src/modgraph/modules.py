@@ -55,7 +55,8 @@ class FiniteModule:
             raise ConstructionError("some module element has no additive inverse")
         if not np.array_equal(act[1], idx):
             raise ConstructionError("unity does not act as identity")
-        if not module_laws_hold(add, act, self.ring.add, self.ring.mul):
+        ring = self.ring
+        if not module_laws_hold(add, act, ring.add, ring.mul, ring.add_generators):
             raise ConstructionError("module axiom check failed")
 
     def label(self, i: int) -> str:

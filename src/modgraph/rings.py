@@ -40,24 +40,32 @@ def frozen_table(table: np.ndarray, bound: int) -> np.ndarray:
 
 def _additive_generators(add: np.ndarray) -> np.ndarray:
     """Greedy generators of the table `add`: each is the first element outside
-    the closure of {0} and those before it.  The closure is a fixpoint over
-    the table that assumes no law except the commutativity callers checked."""
-    in_set = np.zeros(add.shape[0], dtype=bool)
+    the span of {0} and those before it.  A new generator g extends the span
+    S to the sums of S and the multiples g, g+g, ... of g, read off column g
+    up to the first multiple in S, in one gather.
+
+    Every sum so marked lies in the closure of the generators under +, and
+    each round marks g at least, so for any table the list ends, and the
+    generators generate the table.  With + associative and commutative, 0
+    its identity and inverses present (callers check all but associativity
+    first), S + <g> is that closure, so the generators are the greedy ones."""
+    n = add.shape[0]
+    in_set = np.zeros(n, dtype=bool)
     in_set[0] = True
-    gens = []
-    while not in_set.all():
-        g = in_set.argmin()
+    gens, spanned = [], 1
+    while spanned < n:
+        g = int(in_set.argmin())
         gens.append(g)
-        in_set[g] = True
-        frontier = np.array([g])
-        while frontier.size:
-            before = in_set.copy()
-            in_set[add[frontier][:, before]] = True
-            frontier = np.flatnonzero(in_set > before)  # reached this round
+        column, multiples, y = add[:, g].tolist(), [], g
+        while not in_set[y] and len(multiples) < n:  # bounded, as a bad + may cycle outside S
+            multiples.append(y)
+            y = column[y]
+        in_set[add[multiples][:, in_set]] = True
+        spanned = np.count_nonzero(in_set)
     return np.array(gens, dtype=np.intp)
 
 
-def module_laws_hold(add, act, radd, rmul) -> bool:
+def module_laws_hold(add, act, radd, rmul, ring_gens=None) -> bool:
     """The four laws of a left module (add, act) over the ring (radd, rmul),
     decided exactly though arguments run over additive generators where that
     suffices.  With g the generators of add and s those of radd, and every
@@ -78,10 +86,11 @@ def module_laws_hold(add, act, radd, rmul) -> bool:
     3 in r.  Law 4 needs, in r, law 3 and the ring's right distributivity;
     in s, laws 2-3 and its left distributivity; in x, law 2.  A ring is its
     own module, (add, mul, add, mul): laws 1, 3 and 2 check its addition
-    and both distributive laws before law 4 uses them.
+    and both distributive laws before law 4 uses them.  ring_gens, when
+    given, are the generators of radd, as the ring's own check found them.
     """
-    g = _additive_generators(add)
-    s = g if radd is add else _additive_generators(radd)
+    s = _additive_generators(radd) if ring_gens is None else ring_gens
+    g = s if add is radd else _additive_generators(add)
     sums = add[add[g]]  # (a+x)+y, which is (x+a)+y, and is x+(a+y) if swapping x, y fixes it
     flat, scaled = add.ravel(), act.astype(np.intp) * add.shape[0]  # u+v at u * len(add) + v
     sx = act[s]
@@ -135,7 +144,8 @@ class FiniteRing:
             raise ConstructionError("addition not commutative")
         if not (add == 0).any(axis=1).all():
             raise ConstructionError("some element has no additive inverse")
-        if not module_laws_hold(add, mul, add, mul):
+        self.add_generators = _additive_generators(add)
+        if not module_laws_hold(add, mul, add, mul, self.add_generators):
             raise ConstructionError("associativity/distributivity check failed")
 
     # -- conveniences ------------------------------------------------------
@@ -230,10 +240,15 @@ def _bracketed(names: list[str], m: int) -> list[str]:
     return ["[" + ",".join(reversed(t)) + "]" for t in product(names, repeat=m)]
 
 
+def matrix_size(q: int, m: int, caps: Caps) -> int:
+    """q^(m^2), the size of M_m(GF(q)), refused past max_ring_size."""
+    return capped_power(q, m * m, caps.max_ring_size, "matrix ring")
+
+
 def ring_matrix(field: FiniteField, m: int, caps: Caps | None = None) -> FiniteRing:
     caps = caps or Caps()
     q = field.size
-    capped_power(q, m * m, caps.max_ring_size, "matrix ring")
+    matrix_size(q, m, caps)
     # matrix units in row-major order: e_(r,s) e_(s,c) = e_(r,c)
     row, col = np.divmod(np.arange(m * m), m)
     prod = np.where(col[:, None] == row[None, :], row[:, None] * m + col[None, :], -1)
@@ -245,13 +260,22 @@ def ring_matrix(field: FiniteField, m: int, caps: Caps | None = None) -> FiniteR
     return FiniteRing(add, mul, "matrix", labels, meta, caps=caps)
 
 
+def triangular_size(p: int, k: int, j: int, caps: Caps) -> int:
+    """q^2 p^j for q = p^k, the size of the triangular ring over GF(q) and
+    its degree-j subfield, refused past max_ring_size; 0 when j does not
+    divide k, which `subfield` reports.  GF(q) must fit the cap, so the
+    power stays small."""
+    n = p ** (2 * k + j) if k % j == 0 else 0
+    if n > caps.max_ring_size:
+        raise CapExceeded(f"triangular ring size {n} exceeds cap max_ring_size={caps.max_ring_size}")
+    return n
+
+
 def ring_triangular(delta: FiniteField, j: int, caps: Caps | None = None) -> FiniteRing:
     """Matrices [[a, b], [0, c]] with a, b in delta and c in its degree-j subfield."""
     caps = caps or Caps()
     q = delta.size
-    n = q * q * delta.p**j if delta.k % j == 0 else 0  # `subfield` reports a j not dividing k
-    if n > caps.max_ring_size:  # refused before the embedding is sought
-        raise CapExceeded(f"triangular ring size {n} exceeds cap max_ring_size={caps.max_ring_size}")
+    n = triangular_size(delta.p, delta.k, j, caps)  # refused before the embedding is sought
     emb = subfield(delta, j)
     w = emb.subfield.size
     fa, fm, sa, sm = (

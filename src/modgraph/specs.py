@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .caps import Caps
 from .errors import SpecError
-from .fields import gf_build
+from .fields import field_size, gf_build
 from .modules import (
     FiniteModule,
     custom_module,
@@ -23,6 +23,7 @@ from .modules import (
 )
 from .rings import (
     FiniteRing,
+    matrix_size,
     ring_from_field,
     ring_from_tables,
     ring_matrix,
@@ -30,6 +31,7 @@ from .rings import (
     ring_product,
     ring_triangular,
     ring_zmod,
+    triangular_size,
 )
 
 SPEC_VERSION = 1
@@ -141,9 +143,13 @@ def build_ring(spec: dict, caps: Caps) -> FiniteRing:
         return ring_from_field(gf_build(spec["p"], spec["k"], caps), caps)
     if kind == "zmod":
         return ring_zmod(spec["n"], caps)
+    # a matrix or triangular ring past the cap is refused before its field is built
     if kind == "matrix":
+        matrix_size(field_size(spec["p"], spec["k"], caps), spec["m"], caps)
         return ring_matrix(gf_build(spec["p"], spec["k"], caps), spec["m"], caps)
     if kind == "triangular":
+        field_size(spec["p"], spec["k"], caps)
+        triangular_size(spec["p"], spec["k"], spec["subfield_degree"], caps)
         return ring_triangular(
             gf_build(spec["p"], spec["k"], caps), spec["subfield_degree"], caps
         )

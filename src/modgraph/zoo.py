@@ -14,7 +14,7 @@ from .caps import Caps
 from .errors import CapExceeded
 from .graphs import IntersectionGraph, build_graph, homogeneous_socle_pair
 from .lattice import Lattice, enumerate_submodules
-from .specs import Instance, build_instance, make_spec, normalize_spec
+from .specs import SPEC_VERSION, Instance, build_instance, make_spec, normalize_spec
 
 REGULAR = {"kind": "regular"}
 
@@ -108,16 +108,19 @@ def _base_ring_specs(max_size: int) -> list[tuple[int, dict]]:
 
 def family_specs(max_ring_size: int) -> list[dict]:
     """All builder-expressible regular-module instances within the bound:
-    the base constructors plus unordered products of two base rings."""
+    the base constructors plus unordered products of two base rings.  Each
+    base spec is normalized once, and a product spec is composed, already
+    normal, of its factors' normalized ring specs, which it shares."""
     base = _base_ring_specs(max_ring_size)
     specs = [make_spec(ring, REGULAR) for _, ring in base]
     by_size = sorted(range(len(base)), key=lambda j: base[j][0])
     sizes = [base[j][0] for j in by_size]
-    for i, (sa, ra) in enumerate(base):
+    for i, (sa, _) in enumerate(base):
         # the partners of size <= max_ring_size // sa, visited in list order
         fits = by_size[: bisect_right(sizes, max_ring_size // sa)]
         for j in sorted(j for j in fits if j >= i):
-            specs.append(make_spec({"kind": "product", "left": ra, "right": base[j][1]}, REGULAR))
+            ring = {"kind": "product", "left": specs[i]["ring"], "right": specs[j]["ring"]}
+            specs.append({"module": dict(REGULAR), "ring": ring, "version": SPEC_VERSION})
     return specs
 
 

@@ -451,6 +451,29 @@ def brute_greedy_generators(module, members):
     return tuple(gens)
 
 
+def brute_additive_closure(add, seed):
+    """The least set holding 0 and seed that the table add closes, as a
+    fixpoint of all pairwise sums."""
+    add = _rows(add)
+    closure = {0, *seed}
+    while True:
+        sums = {add[a][b] for a in closure for b in closure}
+        if sums <= closure:
+            return closure
+        closure |= sums
+
+
+def brute_additive_generators(add):
+    """Greedy generators of the table add: each is the least element outside
+    the closure of 0 and the earlier ones, recomputed from scratch."""
+    gens, closure = [], {0}
+    for x in range(len(add)):
+        if x not in closure:
+            gens.append(x)
+            closure = brute_additive_closure(add, gens)
+    return tuple(gens)
+
+
 def brute_adjacency(vertices):
     """Adjacency bitsets of the intersection graph on the given member
     tuples, by testing every ordered pair: i and j are adjacent when they

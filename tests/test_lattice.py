@@ -145,7 +145,7 @@ def test_modular_law_on_small_lattices():
                     assert left == right
 
 
-@pytest.mark.parametrize("q,d", [(2, 1), (2, 2), (2, 3), (2, 6), (3, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize("q,d", [(2, 1), (2, 2), (2, 3), (2, 6), (3, 1), (3, 2), (3, 3), (3, 5)])
 def test_subspace_counts_match_gaussian_binomials(q, d):
     lat = enumerate_submodules(vector_space(q, 1, d))
     assert len(lat) == subspace_count(d, q)
@@ -307,6 +307,25 @@ def test_generators_match_greedy_closure_oracle(named_contexts, family16_context
             assert lat.gens(i) == brute_greedy_generators(lat.module, sub.members), ctx.instance_id
             checked += 1
     assert checked > 400
+
+
+def test_each_member_is_built_from_its_canonical_parent(named_contexts, family16_contexts):
+    # the parent recorded for N != 0 is S, the member whose generators are
+    # all of N's but the last, x, and N is the closure of S and x
+    checked = 0
+    for ctx in [*named_contexts, *family16_contexts]:
+        lat = ctx.lattice
+        by_gens = {lat.gens(i): i for i in range(len(lat))}
+        for i, sub in enumerate(lat.subs):
+            if i == lat.zero_index:
+                continue
+            parent, gens = lat._parents[sub.bits]
+            *rest, x = lat.gens(i)
+            s = lat.subs[by_gens[tuple(rest)]]
+            assert (parent, gens) == (s.bits, lat.gens(i)), ctx.instance_id
+            assert set(sub.members) == set(naive_closure(lat.module, [*s.members, x])), ctx.instance_id
+            checked += 1
+    assert checked > 300
 
 
 def test_describing_members_closes_nothing(monkeypatch, named_contexts):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modgraph import fields, rings
+from modgraph import fields, rings, specs
 from modgraph.caps import Caps
 from modgraph.errors import CapExceeded, ConstructionError
 from modgraph.fields import gf_build
@@ -19,7 +19,7 @@ from modgraph.rings import (
 from modgraph.solvers import max_clique
 from modgraph.zoo import family_specs
 
-from .oracles import brute_poly_quot_tables
+from .oracles import brute_additive_closure, brute_additive_generators, brute_poly_quot_tables
 
 
 def all_test_rings():
@@ -191,6 +191,60 @@ def test_triangular_cap_is_checked_before_the_subfield_embedding(monkeypatch):
     monkeypatch.setattr(rings, "subfield", no_embedding)
     with pytest.raises(CapExceeded, match="max_ring_size=1024"):
         ring_triangular(gf_build(2, 10), 5)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [{"kind": "triangular", "p": 2, "k": 10, "subfield_degree": 5}, {"kind": "matrix", "p": 2, "k": 5, "m": 2}],
+    ids=["triangular", "matrix"],
+)
+def test_oversized_ring_is_refused_before_its_field_is_built(monkeypatch, ring):
+    def no_field(*args):
+        raise AssertionError("the field was built before the cap check")
+
+    monkeypatch.setattr(specs, "gf_build", no_field)
+    with pytest.raises(CapExceeded, match="max_ring_size=1024"):
+        specs.build_instance(specs.make_spec(ring, {"kind": "regular"}))
+
+
+def test_additive_generators_match_fixpoint_oracle(named_contexts, family16_contexts):
+    tables = {}
+    for ctx in [*named_contexts, *family16_contexts]:
+        for table in (ctx.ring.add, ctx.module.add):
+            tables.setdefault(table.tobytes(), table)
+    assert len(tables) > 40
+    for table in tables.values():
+        assert tuple(rings._additive_generators(table)) == brute_additive_generators(table)
+
+
+def test_additive_generators_generate_any_table():
+    # commutative tables with identity 0 and no other law, on which a
+    # generator's multiples may cycle without reaching 0
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 7, 16, 40):
+        for _ in range(10):
+            table = rng.integers(0, n, size=(n, n))
+            table = np.triu(table) + np.triu(table, 1).T
+            table[0], table[:, 0] = np.arange(n), np.arange(n)
+            gens = rings._additive_generators(table).tolist()
+            assert gens == sorted(set(gens)) and gens[:1] == ([1] if n > 1 else [])
+            assert brute_additive_closure(table, gens) == set(range(n))
+
+
+def test_ring_generators_are_computed_once(monkeypatch):
+    sizes = []
+    generators = rings._additive_generators
+
+    def counted(add):
+        sizes.append(add.shape[0])
+        return generators(add)
+
+    monkeypatch.setattr(rings, "_additive_generators", counted)
+    module = {"kind": "regular"}
+    for _ in range(3):
+        module = {"kind": "direct_sum", "left": module, "right": {"kind": "regular"}}
+    specs.build_instance(specs.make_spec({"kind": "gf", "p": 3, "k": 1}, module))
+    assert sizes == [3, 9, 27, 81]  # the ring once, then each direct sum
 
 
 def test_table_ring_validation():

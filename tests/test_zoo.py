@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -103,6 +104,14 @@ def _family_specs_by_all_pairs(max_ring_size):
 @pytest.mark.parametrize("max_ring_size", [2, 16, 64, 300])
 def test_family_specs_match_the_all_pairs_loop(max_ring_size):
     assert family_specs(max_ring_size) == _family_specs_by_all_pairs(max_ring_size)
+
+
+@pytest.mark.parametrize("max_ring_size", [2, 16, 64, 300])
+def test_family_specs_are_make_spec_output(max_ring_size):
+    # key order too: the specs serialize as make_spec's do, unsorted
+    got = family_specs(max_ring_size)
+    want = [make_spec(spec["ring"], spec["module"]) for spec in got]
+    assert [json.dumps(spec) for spec in got] == [json.dumps(spec) for spec in want]
 
 
 # sha256 of every element label of each ring and module, in order, over the
