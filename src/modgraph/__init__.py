@@ -16,7 +16,7 @@ from .errors import (
     SpecError,
     StructureError,
 )
-from .fields import FiniteField, gf_build, subfield
+from .fields import gf_tables, subfield_image
 from .graphs import (
     ApplicabilityFailure,
     Coloring,
@@ -51,8 +51,8 @@ from .modules import (
 )
 from .rings import (
     FiniteRing,
-    ring_from_field,
     ring_from_tables,
+    ring_gf,
     ring_matrix,
     ring_poly_quot,
     ring_product,

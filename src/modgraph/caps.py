@@ -21,7 +21,6 @@ DEFAULT_MAX_EXACT_VERTICES = 64
 @dataclass(frozen=True)
 class Caps:
     max_ring_size: int = DEFAULT_MAX_RING_SIZE
-    max_module_size: int = DEFAULT_MAX_RING_SIZE
     max_submodules: int = DEFAULT_MAX_SUBMODULES
     max_exact_vertices: int = DEFAULT_MAX_EXACT_VERTICES
 

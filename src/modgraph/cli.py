@@ -33,7 +33,6 @@ def _add_caps_flags(p: argparse.ArgumentParser) -> None:
 def _caps_of(args) -> Caps:
     return caps_from_env().override(
         max_ring_size=args.max_ring_size,
-        max_module_size=args.max_ring_size,
         max_submodules=args.max_submodules,
         max_exact_vertices=args.max_exact_vertices,
     )

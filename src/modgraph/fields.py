@@ -1,15 +1,15 @@
-"""Finite fields GF(p^k) with element-indexed exact arithmetic.
+"""GF(p^k), and the other algebras over F_p, as element-indexed tables.
 
-Elements are indexed 0..p^k-1 by the base-p digit expansion of their
-coefficient vector over the power basis 1, x, ..., x^(k-1); index 0 is zero
-and index 1 is one.  The defining modulus is the numerically smallest monic
-irreducible polynomial of degree k (lower coefficients read as little-endian
-base-p digits), so a field is reproducible from (p, k) alone.
+An F_p-algebra with basis e_0, ..., e_(d-1) is given by its structure
+constants c[s, t, u] in Z/p, with e_s e_t = sum_u c[s, t, u] e_u.  Its
+element i has the base-p digits of i as coordinates, lowest first, so index
+0 is zero.  GF(p^k) is F_p[x]/(m) over the power basis 1, x, ..., x^(k-1),
+so index 1 is one.  The modulus m is the numerically smallest monic
+irreducible polynomial of degree k (lower coefficients read as
+little-endian base-p digits), so a field is reproducible from (p, k) alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,23 +30,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _trim(coeffs: list[int]) -> Poly:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _trim(out)
-
-
 def poly_mod(a: Poly, m: Poly, p: int) -> Poly:
     """Remainder of a by the monic polynomial m."""
     assert m and m[-1] == 1
@@ -58,7 +41,9 @@ def poly_mod(a: Poly, m: Poly, p: int) -> Poly:
             for i, cm in enumerate(m):
                 r[shift + i] = (r[shift + i] - lead * cm) % p
         r.pop()
-    return _trim(r)
+    while r and r[-1] == 0:
+        r.pop()
+    return tuple(r)
 
 
 def _is_irreducible(m: Poly, p: int) -> bool:
@@ -92,6 +77,59 @@ def smallest_irreducible(p: int, k: int) -> Poly:
     raise ConstructionError(f"no irreducible of degree {k} over Z/{p}")  # unreachable
 
 
+def field_size(p: int, k: int, caps: Caps) -> int:
+    """p**k, once p and k are checked: every builder over GF(p^k) calls it
+    before it seeks the modulus or forms a table."""
+    if k < 1:
+        raise ConstructionError(f"extension degree must be >= 1, got {k}")
+    check_characteristic(p, caps.max_ring_size)
+    if not is_prime(p):
+        raise ConstructionError(f"characteristic {p} is not prime")
+    return capped_power(p, k, caps.max_ring_size, "field")
+
+
+def _digits(p: int, d: int) -> np.ndarray:
+    """The coordinates of every element of F_p^d, one row per index."""
+    return np.arange(p**d)[:, None] // p ** np.arange(d) % p
+
+
+def algebra_tables(p: int, const: np.ndarray):
+    """Tables of the F_p-algebra with structure constants const (d x d x d).
+    Returns (digits, add, mul), digits[i] being the coordinates of element i."""
+    d = const.shape[0]
+    n, cut = p**d, p ** (d // 2)
+    weights = p ** np.arange(d)
+    digits = _digits(p, d)
+
+    def sums(k):  # the sums of the p^k elements on the lowest k coordinates
+        x = digits[: p**k, :k]
+        return (x[:, None] + x) % p @ weights[:k]
+
+    def products(rows):  # coordinate u of x*y is sum_(s,t) x_s y_t const[s, t, u]
+        return np.matmul(digits, np.tensordot(digits[rows], const, axes=(1, 0))) % p @ weights
+
+    # element i is (i % cut) + (i - i % cut), whose coordinates are apart:
+    # sums add part by part, and by distributivity products are sums of
+    # the two parts' products
+    high, low = divmod(np.arange(n), cut)
+    add = sums(d // 2)[low][:, low] + cut * sums(d - d // 2)[high][:, high]
+    mul = add.ravel()[n * products(np.arange(cut))[low] + products(np.arange(0, n, cut))[high]]
+    return digits, add, mul
+
+
+def gf_constants(p: int, k: int) -> np.ndarray:
+    """The structure constants of GF(p^k) over its power basis: entry
+    [a, b, t] is the coefficient of x^t in x^a x^b mod the modulus."""
+    low = np.array(smallest_irreducible(p, k)[:-1])
+    power = np.zeros((2 * k - 1, k), dtype=np.intp)  # the coordinates of x^e
+    power[0, 0] = 1
+    for e in range(1, 2 * k - 1):  # x^e = x * x^(e-1), where x^k = -low
+        power[e, 1:] = power[e - 1, :-1]
+        power[e] = (power[e] - power[e - 1, -1] * low) % p
+    i = np.arange(k)
+    return power[i[:, None] + i]
+
+
 def _poly_name(coeffs: list[int]) -> str:
     """Little-endian coefficients as a polynomial in x, highest term first."""
     parts = []
@@ -106,196 +144,47 @@ def _poly_name(coeffs: list[int]) -> str:
     return "+".join(reversed(parts)) or "0"
 
 
-class FiniteField:
-    """GF(p^k) backed by exp/log tables over a deterministic modulus."""
-
-    def __init__(self, p: int, k: int, caps: Caps | None = None):
-        size = field_size(p, k, caps or Caps())
-        self.p = p
-        self.k = k
-        self.size = size
-        self.modulus: Poly = smallest_irreducible(p, k)
-        self._digits = self._digit_matrix()
-        self._exp, self._log = self._build_exp_log()
-        self._verify_inverses()
-        self._add_table: np.ndarray | None = None
-        self._mul_table: np.ndarray | None = None
-        self._labels: list[str] | None = None
-
-    # -- element codecs ----------------------------------------------------
-
-    def _digit_matrix(self) -> np.ndarray:
-        idx = np.arange(self.size)
-        cols = []
-        for _ in range(self.k):
-            cols.append(idx % self.p)
-            idx = idx // self.p
-        return np.stack(cols, axis=1).astype(np.int16)
-
-    def coeffs(self, i: int) -> Poly:
-        return _trim(list(self._digits[i]))
-
-    def encode(self, coeffs: Poly) -> int:
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + int(c) % self.p
-        return v
-
-    # -- scalar arithmetic ---------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        s = (self._digits[a] + self._digits[b]) % self.p
-        return int(s @ (self.p ** np.arange(self.k)))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        t = (int(self._log[a]) + int(self._log[b])) % (self.size - 1)
-        return int(self._exp[t])
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        prod = poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        return self.encode(poly_mod(prod, self.modulus, self.p))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e > 0 else 1
-        t = (int(self._log[a]) * e) % (self.size - 1)
-        return int(self._exp[t])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        t = (-int(self._log[a])) % (self.size - 1)
-        return int(self._exp[t])
-
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
-    # -- tables --------------------------------------------------------------
-
-    def _build_exp_log(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.size
-        if q == 2:
-            return np.array([1], dtype=np.int16), np.array([0, 0], dtype=np.int64)
-        for g in range(2, q):
-            power, seen = 1, 0
-            exp = []
-            while True:
-                exp.append(power)
-                power = self._mul_poly(power, g)
-                seen += 1
-                if power == 1:
-                    break
-            if seen == q - 1:
-                log = np.zeros(q, dtype=np.int64)
-                for t, v in enumerate(exp):
-                    log[v] = t
-                return np.array(exp, dtype=np.int16), log
-        raise ConstructionError("no primitive element found")  # unreachable
-
-    def add_table(self) -> np.ndarray:
-        if self._add_table is None:
-            d = self._digits.astype(np.int32)
-            s = (d[:, None, :] + d[None, :, :]) % self.p
-            weights = self.p ** np.arange(self.k)
-            self._add_table = (s @ weights).astype(np.int16)
-            self._add_table.flags.writeable = False
-        return self._add_table
-
-    def mul_table(self) -> np.ndarray:
-        if self._mul_table is None:
-            q = self.size
-            t = np.zeros((q, q), dtype=np.int16)
-            if q > 1:
-                lg = self._log[1:]
-                t[1:, 1:] = self._exp[(lg[:, None] + lg[None, :]) % (q - 1)]
-            t.flags.writeable = False
-            self._mul_table = t
-        return self._mul_table
-
-    def _verify_inverses(self) -> None:
-        for a in range(1, self.size):
-            if self.mul(a, self.inv(a)) != 1:
-                raise ConstructionError("inverse table inconsistent")
-
-    def labels(self) -> list[str]:
-        """The name of every element by index, such as "x^2+2x+1", formed once."""
-        if self._labels is None:
-            self._labels = [_poly_name(row) for row in self._digits.tolist()]
-        return self._labels
-
-    def label(self, i: int) -> str:
-        return self.labels()[i]
-
-    def __repr__(self) -> str:
-        return f"GF({self.p}^{self.k})"
+def gf_labels(p: int, k: int) -> list[str]:
+    """The name of every element of GF(p^k) by index, such as "x^2+2x+1"."""
+    return [_poly_name(row) for row in _digits(p, k).tolist()]
 
 
-@dataclass(frozen=True)
-class SubfieldEmbedding:
-    subfield: "FiniteField"
-    parent: "FiniteField"
-    # index map subfield -> parent; image is the fixed set of x -> x^(p^j)
-    image: tuple[int, ...]
-
-    def __call__(self, i: int) -> int:
-        return self.image[i]
+def gf_tables(p: int, k: int):
+    """(add, mul, labels) of GF(p^k).  Every nonzero row of mul must hold 1,
+    as it does when the modulus is irreducible."""
+    _, add, mul = algebra_tables(p, gf_constants(p, k))
+    if not (mul[1:] == 1).any(axis=1).all():
+        raise ConstructionError("some nonzero field element has no inverse")
+    return add, mul, gf_labels(p, k)
 
 
-def field_size(p: int, k: int, caps: Caps) -> int:
-    """p**k, once p and k are checked as FiniteField checks them: a builder
-    of a larger ring over GF(p^k) calls it to refuse that ring before the
-    field is built."""
-    if k < 1:
-        raise ConstructionError(f"extension degree must be >= 1, got {k}")
-    check_characteristic(p, caps.max_ring_size)
-    if not is_prime(p):
-        raise ConstructionError(f"characteristic {p} is not prime")
-    return capped_power(p, k, caps.max_ring_size, "field")
+def subfield_image(p: int, j: int, field, sub) -> np.ndarray:
+    """The indices in GF(p^k) of the elements of its subfield GF(p^j), given
+    the (add, mul) tables of each, with j dividing k.
 
-
-def gf_build(p: int, k: int, caps: Caps | None = None) -> FiniteField:
-    return FiniteField(p, k, caps=caps)
-
-
-def subfield(field: FiniteField, j: int) -> SubfieldEmbedding:
-    """The subfield GF(p^j) of GF(p^k) with its canonical embedding.
-
-    The embedding sends the generator class of GF(p^j) to the smallest-index
-    root of its modulus inside the parent; the image equals the fixed set of
-    the j-fold Frobenius.
+    GF(p^j)'s x goes to the smallest-index root of its modulus in GF(p^k),
+    found by Horner over all elements at once, and sum_t c_t x^t goes to
+    sum_t c_t root^t (c_t in F_p has index c_t in either field).  The map
+    must be injective and respect + and *.
     """
-    if field.k % j != 0:
-        raise ConstructionError(f"degree {j} does not divide {field.k}")
-    sub = FiniteField(field.p, j)
-    if j == field.k and sub.modulus == field.modulus:
-        emb = tuple(range(field.size))
-        return SubfieldEmbedding(sub, field, emb)
-    root = None
-    for x in range(field.size):
-        acc = 0
-        for c in reversed(sub.modulus):  # Horner in the parent field
-            acc = field.add(field.mul(acc, x), field.encode((c,)))
-        if acc == 0:
-            root = x
-            break
-    if root is None:
+    add, mul = field[0], field[1]
+    x = np.arange(len(add))
+    acc = np.zeros_like(x)
+    for c in reversed(smallest_irreducible(p, j)):
+        acc = add[mul[acc, x], c]
+    roots = np.flatnonzero(acc == 0)
+    if not roots.size:
         raise ConstructionError("modulus of subfield has no root in parent")
-    emb = []
-    for i in range(sub.size):
-        val, xp = 0, 1
-        for c in sub.coeffs(i):
-            val = field.add(val, field.mul(field.encode((int(c),)), xp))
-            xp = field.mul(xp, root)
-        emb.append(val)
-    fixed = {x for x in range(field.size) if field.pow(x, field.p**j) == x}
-    if set(emb) != fixed or len(set(emb)) != sub.size:
-        raise ConstructionError("subfield embedding does not match Frobenius fixed set")
-    for a in range(sub.size):
-        for b in range(sub.size):
-            if emb[sub.add(a, b)] != field.add(emb[a], emb[b]):
-                raise ConstructionError("embedding not additive")
-            if emb[sub.mul(a, b)] != field.mul(emb[a], emb[b]):
-                raise ConstructionError("embedding not multiplicative")
-    return SubfieldEmbedding(sub, field, tuple(emb))
+    image, power = np.zeros(p**j, dtype=np.intp), 1
+    for coeffs in _digits(p, j).T:
+        image = add[image, mul[coeffs, power]]
+        power = mul[power, roots[0]]
+    hit = np.zeros(len(add), dtype=bool)
+    hit[image] = True
+    if not (
+        np.count_nonzero(hit) == p**j
+        and np.array_equal(image[sub[0]], add[image][:, image])
+        and np.array_equal(image[sub[1]], mul[image][:, image])
+    ):
+        raise ConstructionError("subfield embedding is not an injective ring map")
+    return image

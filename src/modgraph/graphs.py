@@ -233,11 +233,6 @@ class IntersectionGraph:
         n = self.n
         return n >= 2 and sorted(self._degrees) == [1] * (n - 1) + [n - 1]
 
-    def star_center(self) -> int | None:
-        if not self.is_star_graph():
-            return None
-        return max(range(self.n), key=self.degree)
-
     def classify_shape(self) -> GraphShape:
         """Priority at the overlapping small orders: null > complete > star."""
         if self.is_null_graph():

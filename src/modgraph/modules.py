@@ -29,8 +29,8 @@ class FiniteModule:
     ):
         caps = caps or Caps()
         m = add.shape[0]
-        if m > caps.max_module_size:
-            raise CapExceeded(f"module size {m} exceeds cap max_module_size={caps.max_module_size}")
+        if m > caps.max_ring_size:
+            raise CapExceeded(f"module size {m} exceeds cap max_ring_size={caps.max_ring_size}")
         if add.shape != (m, m) or act.shape != (ring.size, m):
             raise ConstructionError("module table shapes inconsistent")
         self.ring = ring
@@ -157,8 +157,8 @@ def direct_sum(m1: FiniteModule, m2: FiniteModule, caps: Caps | None = None) -> 
         raise ConstructionError("direct sum needs modules over the same ring")
     s1, s2 = m1.size, m2.size
     m = s1 * s2
-    if m > caps.max_module_size:
-        raise CapExceeded(f"direct sum size {m} exceeds cap max_module_size={caps.max_module_size}")
+    if m > caps.max_ring_size:
+        raise CapExceeded(f"direct sum size {m} exceeds cap max_ring_size={caps.max_ring_size}")
     idx = np.arange(m)
     I1, I2 = idx // s2, idx % s2
     add = s2 * m1.add[np.ix_(I1, I1)].astype(np.int64) + m2.add[np.ix_(I2, I2)]

@@ -5,6 +5,10 @@ index 0 is the additive zero, index 1 the unity, and two n x n tables give
 addition and multiplication.  Structured builders (matrix, triangular,
 product, polynomial quotient) produce tables identical to naive arithmetic
 on the structured elements and then renumber so zero/one land on 0/1.
+GF(p^k), M_m(GF(p^k)) and F_p[vars]/(monomials) are tabulated as F_p-algebras
+from their structure constants (`fields.algebra_tables`).  The builders over
+GF(p^k) take p and k and refuse a ring past the cap before the modulus is
+sought or any table formed.
 
 Ring and module axioms are verified exactly at construction, at every size,
 by one O(n^2 log n) check over additive generators (`module_laws_hold`).
@@ -12,14 +16,21 @@ by one O(n^2 log n) check over additive generators (`module_laws_hold`).
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import product
 
 import numpy as np
 
 from .caps import Caps, capped_power, check_characteristic
 from .errors import CapExceeded, ConstructionError
-from .fields import FiniteField, SubfieldEmbedding, is_prime, subfield
+from .fields import (
+    algebra_tables,
+    field_size,
+    gf_constants,
+    gf_labels,
+    gf_tables,
+    is_prime,
+    subfield_image,
+)
 
 TABLE_DTYPE = np.int16
 
@@ -154,11 +165,9 @@ class FiniteRing:
         return self.labels[i]
 
     def is_division_ring(self) -> bool:
-        for a in range(1, self.size):
-            xs = np.flatnonzero(self.mul[a] == 1)
-            if not any(self.mul[x, a] == 1 for x in xs):
-                return False
-        return True
+        """Every nonzero a has some b with ab = 1, which for a finite ring
+        (Dedekind-finite) gives ba = 1 too."""
+        return bool((self.mul[1:] == 1).any(axis=1).all())
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.backend_tag}, n={self.size})"
@@ -195,43 +204,11 @@ def ring_zmod(n: int, caps: Caps | None = None) -> FiniteRing:
     return FiniteRing(add, mul, "zmod", [str(v) for v in range(n)], {"n": n}, caps=caps)
 
 
-def ring_from_field(field: FiniteField, caps: Caps | None = None) -> FiniteRing:
-    meta = {"p": field.p, "k": field.k, "modulus": list(field.modulus)}
-    return FiniteRing(field.add_table(), field.mul_table(), "gf", list(field.labels()), meta, caps=caps)
-
-
-def _algebra_tables(fa: np.ndarray, fm: np.ndarray, prod: np.ndarray):
-    """Tables of the algebra over the field (fa, fm) with basis products
-    e_s e_t = e_prod[s,t], or 0 where prod[s,t] is -1.  Element i has the
-    base-q digits of i as coordinates, lowest first.  Returns (digits, add,
-    mul), digits[i] being the coordinates of element i."""
-    q, d = fa.shape[0], prod.shape[0]
-    n, cut = q**d, q ** (d // 2)
-    fa, fm = fa.astype(np.intp), fm.astype(np.intp)
-    digits = np.arange(n)[:, None] // q ** np.arange(d) % q
-
-    def sums(k):  # the sums of the q^k elements on the lowest k coordinates
-        out = np.zeros((q**k, q**k), dtype=np.intp)
-        for u in reversed(range(k)):  # Horner in q, highest coordinate first
-            out *= q
-            out += fa[digits[: q**k, u]][:, digits[: q**k, u]]
-        return out
-
-    def products(rows):  # coordinate u of x*y is the field sum of x_s y_t over prod[s, t] = u
-        out = np.zeros((len(rows), n), dtype=np.intp)
-        for u in reversed(range(d)):
-            terms = [fm[digits[rows, s]][:, digits[:, t]] for s, t in zip(*np.nonzero(prod == u))]
-            out *= q
-            out += reduce(lambda x, y: fa.ravel()[x * q + y], terms, 0)
-        return out
-
-    # element i is (i % cut) + (i - i % cut), whose coordinates are apart:
-    # sums add part by part, and by distributivity products are sums of
-    # the two parts' products
-    high, low = divmod(np.arange(n), cut)
-    add = sums(d // 2)[low][:, low] + cut * sums(d - d // 2)[high][:, high]
-    mul = add.ravel()[n * products(np.arange(cut))[low] + products(np.arange(0, n, cut))[high]]
-    return digits, add, mul
+def ring_gf(p: int, k: int, caps: Caps | None = None) -> FiniteRing:
+    caps = caps or Caps()
+    field_size(p, k, caps)
+    add, mul, labels = gf_tables(p, k)
+    return FiniteRing(add, mul, "gf", labels, {"p": p, "k": k}, caps=caps)
 
 
 def _bracketed(names: list[str], m: int) -> list[str]:
@@ -240,58 +217,43 @@ def _bracketed(names: list[str], m: int) -> list[str]:
     return ["[" + ",".join(reversed(t)) + "]" for t in product(names, repeat=m)]
 
 
-def matrix_size(q: int, m: int, caps: Caps) -> int:
-    """q^(m^2), the size of M_m(GF(q)), refused past max_ring_size."""
-    return capped_power(q, m * m, caps.max_ring_size, "matrix ring")
-
-
-def ring_matrix(field: FiniteField, m: int, caps: Caps | None = None) -> FiniteRing:
+def ring_matrix(p: int, k: int, m: int, caps: Caps | None = None) -> FiniteRing:
     caps = caps or Caps()
-    q = field.size
-    matrix_size(q, m, caps)
-    # matrix units in row-major order: e_(r,s) e_(s,c) = e_(r,c)
+    q = field_size(p, k, caps)
+    capped_power(q, m * m, caps.max_ring_size, "matrix ring")
+    # matrix units in row-major order: e_(r,s) e_(s,c) = e_(r,c).  Basis
+    # element e*k + a is x^a e_e, so entry e of element i is its base-q digit e
     row, col = np.divmod(np.arange(m * m), m)
-    prod = np.where(col[:, None] == row[None, :], row[:, None] * m + col[None, :], -1)
-    _, add, mul = _algebra_tables(field.add_table(), field.mul_table(), prod)
+    units = np.where(col[:, None] == row, row[:, None] * m + col, -1)[..., None] == np.arange(m * m)
+    _, add, mul = algebra_tables(p, np.kron(units, gf_constants(p, k)))
     one_raw = sum(q ** (r * m + r) for r in range(m))
-    labels = _bracketed(_bracketed(field.labels(), m), m)  # rows, then matrices
+    labels = _bracketed(_bracketed(gf_labels(p, k), m), m)  # rows, then matrices
     add, mul, labels = _relabel_unity(add, mul, one_raw, labels)
-    meta = {"p": field.p, "k": field.k, "m": m, "q": q}
+    meta = {"p": p, "k": k, "m": m, "q": q}
     return FiniteRing(add, mul, "matrix", labels, meta, caps=caps)
 
 
-def triangular_size(p: int, k: int, j: int, caps: Caps) -> int:
-    """q^2 p^j for q = p^k, the size of the triangular ring over GF(q) and
-    its degree-j subfield, refused past max_ring_size; 0 when j does not
-    divide k, which `subfield` reports.  GF(q) must fit the cap, so the
-    power stays small."""
-    n = p ** (2 * k + j) if k % j == 0 else 0
+def ring_triangular(p: int, k: int, j: int, caps: Caps | None = None) -> FiniteRing:
+    """Matrices [[a, b], [0, c]] with a, b in GF(p^k) and c in its degree-j subfield."""
+    caps = caps or Caps()
+    q = field_size(p, k, caps)
+    if j < 1 or k % j:
+        raise ConstructionError(f"degree {j} does not divide {k}")
+    n = q * q * p**j  # GF(q) fits the cap, so the power stays small
     if n > caps.max_ring_size:
         raise CapExceeded(f"triangular ring size {n} exceeds cap max_ring_size={caps.max_ring_size}")
-    return n
-
-
-def ring_triangular(delta: FiniteField, j: int, caps: Caps | None = None) -> FiniteRing:
-    """Matrices [[a, b], [0, c]] with a, b in delta and c in its degree-j subfield."""
-    caps = caps or Caps()
-    q = delta.size
-    n = triangular_size(delta.p, delta.k, j, caps)  # refused before the embedding is sought
-    emb = subfield(delta, j)
-    w = emb.subfield.size
-    fa, fm, sa, sm = (
-        table.astype(np.intp)
-        for table in (delta.add_table(), delta.mul_table(), emb.subfield.add_table(), emb.subfield.mul_table())
-    )
+    fa, fm, names = gf_tables(p, k)
+    sa, sm, _ = gf_tables(p, j)
+    image = subfield_image(p, j, (fa, fm), (sa, sm))
     idx = np.arange(n)
     A, B, C = idx % q, idx // q % q, idx // (q * q)
-    c = np.array(emb.image)[C]  # the corner entry, in delta
+    c = image[C]  # the corner entry, in GF(q)
     add = fa[A][:, A] + q * fa[B][:, B] + q * q * sa[C][:, C]
     mul = fm[A][:, A] + q * fa.ravel()[q * fm[A][:, B] + fm[B][:, c]] + q * q * sm[C][:, C]
     one_raw = 1 + q * q * 1  # a=1, b=0, c=1
-    names = delta.labels()
-    labels = [f"[[{a},{b}],[0,{names[c]}]]" for c in emb.image for b in names for a in names]
+    labels = [f"[[{a},{b}],[0,{names[c]}]]" for c in image for b in names for a in names]
     add, mul, labels = _relabel_unity(add, mul, one_raw, labels)
-    meta = {"p": delta.p, "k": delta.k, "q": q, "subfield_degree": j, "subfield_size": w}
+    meta = {"p": p, "k": k, "q": q, "subfield_degree": j, "subfield_size": p**j}
     return FiniteRing(add, mul, "triangular", labels, meta, caps=caps)
 
 
@@ -388,8 +350,7 @@ def ring_poly_quot(
             mono = tuple(a + b for a, b in zip(basis[s], basis[t]))
             if not any(_divisible(mono, g) for g in gens):
                 prod[s, t] = bpos[mono]
-    zp = np.arange(p)
-    D, add, mul = _algebra_tables((zp[:, None] + zp) % p, (zp[:, None] * zp) % p, prod)
+    D, add, mul = algebra_tables(p, prod[..., None] == np.arange(nb))
 
     def mono_label(mo: tuple[int, ...]) -> str:
         if sum(mo) == 0:

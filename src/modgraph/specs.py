@@ -12,7 +12,6 @@ from functools import cached_property
 
 from .caps import Caps
 from .errors import SpecError
-from .fields import field_size, gf_build
 from .modules import (
     FiniteModule,
     custom_module,
@@ -23,15 +22,13 @@ from .modules import (
 )
 from .rings import (
     FiniteRing,
-    matrix_size,
-    ring_from_field,
     ring_from_tables,
+    ring_gf,
     ring_matrix,
     ring_poly_quot,
     ring_product,
     ring_triangular,
     ring_zmod,
-    triangular_size,
 )
 
 SPEC_VERSION = 1
@@ -140,19 +137,13 @@ def load_spec_file(path: str) -> dict:
 def build_ring(spec: dict, caps: Caps) -> FiniteRing:
     kind = spec["kind"]
     if kind == "gf":
-        return ring_from_field(gf_build(spec["p"], spec["k"], caps), caps)
+        return ring_gf(spec["p"], spec["k"], caps)
     if kind == "zmod":
         return ring_zmod(spec["n"], caps)
-    # a matrix or triangular ring past the cap is refused before its field is built
     if kind == "matrix":
-        matrix_size(field_size(spec["p"], spec["k"], caps), spec["m"], caps)
-        return ring_matrix(gf_build(spec["p"], spec["k"], caps), spec["m"], caps)
+        return ring_matrix(spec["p"], spec["k"], spec["m"], caps)
     if kind == "triangular":
-        field_size(spec["p"], spec["k"], caps)
-        triangular_size(spec["p"], spec["k"], spec["subfield_degree"], caps)
-        return ring_triangular(
-            gf_build(spec["p"], spec["k"], caps), spec["subfield_degree"], caps
-        )
+        return ring_triangular(spec["p"], spec["k"], spec["subfield_degree"], caps)
     if kind == "product":
         return ring_product(build_ring(spec["left"], caps), build_ring(spec["right"], caps), caps)
     if kind == "poly_quot":

@@ -1,9 +1,8 @@
 import pytest
 
 from modgraph.caps import Caps
-from modgraph.fields import gf_build
 from modgraph.modules import direct_sum, quotient, regular_module, submodule_generated
-from modgraph.rings import ring_from_field, ring_triangular, ring_zmod
+from modgraph.rings import ring_gf, ring_triangular, ring_zmod
 from modgraph.zoo import contexts, family, named_instance_specs
 
 
@@ -34,13 +33,13 @@ def z12_module():
 
 @pytest.fixture(scope="session")
 def f2_squared():
-    reg = regular_module(ring_from_field(gf_build(2, 1)))
+    reg = regular_module(ring_gf(2, 1))
     return direct_sum(reg, reg)
 
 
 @pytest.fixture(scope="session")
 def triangular_f4():
-    return regular_module(ring_triangular(gf_build(2, 2), 1))
+    return regular_module(ring_triangular(2, 2, 1))
 
 
 @pytest.fixture(scope="session")

@@ -559,3 +559,59 @@ def brute_residue_is_division(add, mul, ideal):
         any(mul[s][r] in one_plus for s in range(len(mul)))
         for r in range(len(mul)) if r not in inside
     )
+
+
+def brute_gf_tables(p, modulus):
+    """Addition and multiplication tables of F_p[x]/(modulus), the modulus a
+    monic polynomial given by its coefficients, lowest first.  Element i has
+    the base-p digits of i as its coefficients, lowest first.  Products are
+    plain polynomial products, reduced by long division."""
+    k = len(modulus) - 1
+    n = p**k
+
+    def coeffs(i):
+        return [i // p**t % p for t in range(k)]
+
+    def index(c):
+        return sum(c[t] % p * p**t for t in range(k))
+
+    def reduce(c):
+        c = list(c)
+        for e in range(len(c) - 1, k - 1, -1):
+            lead = c[e]
+            for t in range(k + 1):
+                c[e - k + t] -= lead * modulus[t]
+        return c[:k]
+
+    polys = [coeffs(i) for i in range(n)]
+    add = [[index([x + y for x, y in zip(a, b)]) for b in polys] for a in polys]
+    mul = []
+    for a in polys:
+        row = []
+        for b in polys:
+            prod = [0] * (2 * k - 1)
+            for s, x in enumerate(a):
+                for t, y in enumerate(b):
+                    prod[s + t] += x * y
+            row.append(index(reduce(prod)))
+        mul.append(row)
+    return add, mul
+
+
+def brute_subfield_image(add, mul, p, sub_modulus):
+    """The image of F_p[y]/(sub_modulus) in the field with tables add, mul:
+    y goes to the smallest-index root of sub_modulus, found by evaluating it
+    at every element in turn, and sum_t c_t y^t to sum_t c_t root^t, the
+    constant c_t being element c_t of the field."""
+    add, mul = _rows(add), _rows(mul)
+    j = len(sub_modulus) - 1
+
+    def evaluate(coeffs, x):
+        total, power = 0, 1
+        for c in coeffs:
+            total = add[total][mul[c][power]]
+            power = mul[power][x]
+        return total
+
+    root = next(x for x in range(len(add)) if evaluate(sub_modulus, x) == 0)
+    return [evaluate([i // p**t % p for t in range(j)], root) for i in range(p**j)]

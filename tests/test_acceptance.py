@@ -161,9 +161,8 @@ def test_criterion_10_connectivity(all_contexts):
 
 
 def test_criterion_11_oracle_equivalence(all_contexts):
-    from modgraph.fields import gf_build
     from modgraph.modules import direct_sum, regular_module
-    from modgraph.rings import ring_from_field
+    from modgraph.rings import ring_gf
 
     lattice_checked = graph_checked = 0
     seen_sizes = set()
@@ -183,7 +182,7 @@ def test_criterion_11_oracle_equivalence(all_contexts):
             graph_checked += 1
     gauss_ok = True
     for q in (2, 3):
-        reg = regular_module(ring_from_field(gf_build(q, 1)))
+        reg = regular_module(ring_gf(q, 1))
         space = reg
         for d in (1, 2, 3):
             if d > 1:

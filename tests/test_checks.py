@@ -26,7 +26,6 @@ from modgraph.checks import (
     reports_to_jsonl,
     run_suite,
 )
-from modgraph.fields import gf_build
 from modgraph.lattice import enumerate_submodules, prime_radical, section_hom_count
 from modgraph.modules import regular_module
 from modgraph.specs import build_instance, make_spec
@@ -95,8 +94,7 @@ def test_c5_reads_the_corner_ring_off_the_socle_interval():
         spec, lat = ctx.instance.spec["ring"], ctx.lattice
         soc = lat.socle_index()
         assert lat.subs[soc].size == (spec["p"] ** spec["k"]) ** 2, ctx.instance_id
-        field = gf_build(spec["p"], spec["subfield_degree"])
-        corner = enumerate_submodules(regular_module(rings.ring_from_field(field)))
+        corner = enumerate_submodules(regular_module(rings.ring_gf(spec["p"], spec["subfield_degree"])))
         assert lat.interval_size(soc, lat.full_index) == len(corner), ctx.instance_id
         rep = check_structured_shapes(ctx)
         assert rep.status == PASS and rep.details["proper_ideals_of_subring"] == len(corner) - 1

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from modgraph import solvers
 from modgraph.caps import Caps
 from modgraph.errors import StructureError
-from modgraph.fields import gf_build
 from modgraph.graphs import (
     ApplicabilityFailure,
     Coloring,
@@ -20,7 +19,7 @@ from modgraph.graphs import (
 )
 from modgraph.lattice import enumerate_submodules
 from modgraph.modules import direct_sum, regular_module
-from modgraph.rings import ring_from_field, ring_zmod
+from modgraph.rings import ring_gf, ring_zmod
 
 from .oracles import (
     brute_adjacency,
@@ -109,7 +108,8 @@ def test_named_shapes(ctx_by_id):
 def test_star_center_is_socle(ctx_by_id):
     ctx = ctx_by_id["polyquot(F3,x^2,x*y,y^2)/regular"]
     g, lat = ctx.graph, ctx.lattice
-    center = g.star_center()
+    assert g.is_star_graph()
+    center = g.degrees().index(g.n - 1)
     assert center + 1 == lat.socle_index()  # vertex v is lattice member v + 1
 
 
@@ -208,7 +208,7 @@ def test_girth_of_petersen():
 def test_f2_fourth_power_closed_forms():
     # nontrivial subspaces of V = F_q^4 for q = 2
     q = 2
-    reg = regular_module(ring_from_field(gf_build(q, 1)))
+    reg = regular_module(ring_gf(q, 1))
     space = reg
     for _ in range(3):
         space = direct_sum(space, reg)

@@ -8,7 +8,6 @@ built and their lattices enumerated again, as the reference.
 import numpy as np
 import pytest
 
-from modgraph.fields import gf_build
 from modgraph.lattice import (
     enumerate_submodules,
     hom_count_simples,
@@ -23,7 +22,7 @@ from modgraph.modules import (
     regular_module,
     submodule_as_module,
 )
-from modgraph.rings import ring_from_field, ring_zmod
+from modgraph.rings import ring_gf, ring_zmod
 
 from .oracles import (
     brute_covers,
@@ -97,7 +96,7 @@ def test_section_hom_count_matches_built_sections(named_contexts, family16_conte
 
 
 def _f2_4():
-    reg = regular_module(ring_from_field(gf_build(2, 1)))
+    reg = regular_module(ring_gf(2, 1))
     return direct_sum(direct_sum(reg, reg), direct_sum(reg, reg))
 
 

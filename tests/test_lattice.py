@@ -4,7 +4,6 @@ from modgraph import lattice as lattice_mod
 from modgraph import modules
 from modgraph.errors import CapExceeded, StructureError
 from modgraph.caps import Caps
-from modgraph.fields import gf_build
 from modgraph.lattice import (
     count_iso_simple,
     end_size,
@@ -19,7 +18,7 @@ from modgraph.lattice import (
 )
 from modgraph.modules import direct_sum, quotient, regular_module, submodule_generated
 from modgraph.rings import (
-    ring_from_field,
+    ring_gf,
     ring_matrix,
     ring_poly_quot,
     ring_triangular,
@@ -41,7 +40,7 @@ from .oracles import (
 
 
 def vector_space(q_p, q_k, dim):
-    reg = regular_module(ring_from_field(gf_build(q_p, q_k)))
+    reg = regular_module(ring_gf(q_p, q_k))
     m = reg
     for _ in range(dim - 1):
         m = direct_sum(m, reg)
@@ -53,8 +52,8 @@ def oracle_modules():
     out.append(vector_space(2, 1, 2))
     out.append(vector_space(3, 1, 2))
     out.append(regular_module(ring_poly_quot(2, ["x^2", "x*y", "y^2"], ["x", "y"])))
-    out.append(regular_module(ring_triangular(gf_build(2, 2), 1)))
-    out.append(regular_module(ring_triangular(gf_build(2, 2), 2)))  # carrier 64
+    out.append(regular_module(ring_triangular(2, 2, 1)))
+    out.append(regular_module(ring_triangular(2, 2, 2)))  # carrier 64
     reg4 = regular_module(ring_zmod(4))
     half, _ = quotient(reg4, submodule_generated(reg4, [2]))
     out.append(direct_sum(half, reg4))
@@ -238,7 +237,7 @@ def test_goldie_matches_brute_force():
 
 
 def test_iso_counting_examples():
-    f3 = regular_module(ring_from_field(gf_build(3, 1)))
+    f3 = regular_module(ring_gf(3, 1))
     assert count_iso_simple(f3, f3) == 2
     assert end_size(whole_submodule(f3)) == 3
     z6 = regular_module(ring_zmod(6))
@@ -342,7 +341,7 @@ def test_describing_members_closes_nothing(monkeypatch, named_contexts):
 
 def test_pair_of_simples_vertex_counts():
     # isomorphic pair: |End|+1 nontrivial submodules; distinct pair: exactly 2
-    f3 = regular_module(ring_from_field(gf_build(3, 1)))
+    f3 = regular_module(ring_gf(3, 1))
     lat = enumerate_submodules(direct_sum(f3, f3))
     assert len(lat) - 2 == end_size(whole_submodule(f3)) + 1 == 4
     z6 = regular_module(ring_zmod(6))
@@ -380,7 +379,7 @@ def _radical(ring):
 
 def test_prime_radical_examples(triangular_f4):
     assert _radical(ring_zmod(12)).members == (0, 6)
-    assert _radical(ring_matrix(gf_build(2, 1), 2)).members == (0,)
+    assert _radical(ring_matrix(2, 1, 2)).members == (0,)
     assert _radical(ring_poly_quot(2, ["x^2"], ["x"])).size == 2
     rad = prime_radical(enumerate_submodules(triangular_f4))
     assert rad.size == 4  # the strictly-upper-triangular part

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from modgraph.errors import ConstructionError
-from modgraph.fields import gf_build, subfield
+from modgraph.fields import gf_tables, subfield_image
 from modgraph.modules import custom_module, direct_sum, regular_module
-from modgraph.rings import module_laws_hold, ring_from_field, ring_from_tables, ring_product, ring_zmod
+from modgraph.rings import module_laws_hold, ring_gf, ring_from_tables, ring_product, ring_zmod
 
 from .oracles import brute_is_module, brute_is_ring
 
@@ -120,7 +120,7 @@ def test_law_check_agrees_with_oracle_on_corruptions(rings, non_regular_modules)
 
 
 def test_planted_module_defect_above_256_is_rejected():
-    ring = ring_from_field(gf_build(2, 5))
+    ring = ring_gf(2, 5)
     reg = regular_module(ring)
     both = direct_sum(reg, reg)
     assert both.size == 1024
@@ -187,18 +187,17 @@ def test_action_failing_only_additivity_is_rejected():
     """F4 acting on F16: w acts on each orbit {x, wx, w^2 x} as a 3-cycle.
     Reversing the cycle on one orbit keeps (r+s)x = rx+sx, (rs)x = r(sx)
     and 1x = x, but w no longer acts additively."""
-    f16 = gf_build(2, 4)
-    f4 = ring_from_field(subfield(f16, 2).subfield)
-    image = list(subfield(f16, 2).image)
-    act = f16.mul_table()[image]
-    assert custom_module(f4, f16.add_table(), act).size == 16
+    f16, f4 = gf_tables(2, 4), ring_gf(2, 2)
+    image = list(subfield_image(2, 2, f16, (f4.add, f4.mul)))
+    add16, act = f16[0], f16[1][image]
+    assert custom_module(f4, add16, act).size == 16
     x = next(v for v in range(16) if v not in image)
     orbit = sorted({int(v) for v in act[2:, x]} | {x})
     bad = act.copy()
     bad[2, orbit], bad[3, orbit] = act[3, orbit], act[2, orbit]
-    assert not brute_is_module(f16.add_table(), bad, f4.add, f4.mul)
+    assert not brute_is_module(add16, bad, f4.add, f4.mul)
     with pytest.raises(ConstructionError, match="module axiom check failed"):
-        custom_module(f4, f16.add_table(), bad)
+        custom_module(f4, add16, bad)
 
 
 def test_action_failing_additivity_only_off_the_first_generator_is_rejected():

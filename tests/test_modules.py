@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modgraph.errors import ConstructionError
-from modgraph.fields import gf_build
 from modgraph.lattice import enumerate_submodules
 from modgraph.modules import (
     FiniteModule,
@@ -18,7 +17,7 @@ from modgraph.modules import (
     submodule_as_module,
     submodule_generated,
 )
-from modgraph.rings import FiniteRing, ring_from_field, ring_zmod
+from modgraph.rings import FiniteRing, ring_gf, ring_zmod
 
 from .oracles import naive_closure
 
@@ -31,7 +30,7 @@ def test_regular_module_acts_by_multiplication():
 
 
 def test_direct_sum_shape_and_action():
-    f2 = ring_from_field(gf_build(2, 1))
+    f2 = ring_gf(2, 1)
     reg = regular_module(f2)
     m = direct_sum(reg, reg)
     assert m.size == 4

@@ -4,11 +4,11 @@ import pytest
 from modgraph import fields, rings, specs
 from modgraph.caps import Caps
 from modgraph.errors import CapExceeded, ConstructionError
-from modgraph.fields import gf_build
+from modgraph.fields import gf_tables
 from modgraph.modules import direct_sum, regular_module
 from modgraph.rings import (
     parse_monomial,
-    ring_from_field,
+    ring_gf,
     ring_from_tables,
     ring_matrix,
     ring_poly_quot,
@@ -23,12 +23,11 @@ from .oracles import brute_additive_closure, brute_additive_generators, brute_po
 
 
 def all_test_rings():
-    f2, f4 = gf_build(2, 1), gf_build(2, 2)
     return [
         ring_zmod(12),
-        ring_from_field(f4),
-        ring_matrix(f2, 2),
-        ring_triangular(f4, 1),
+        ring_gf(2, 2),
+        ring_matrix(2, 1, 2),
+        ring_triangular(2, 2, 1),
         ring_product(ring_zmod(2), ring_zmod(3)),
         ring_poly_quot(2, ["x^2", "x*y", "y^2"], ["x", "y"]),
         ring_poly_quot(3, ["x^2"], ["x"]),
@@ -51,9 +50,9 @@ def test_zmod_arithmetic():
 
 
 def test_matrix_ring_against_naive_multiplication():
-    f = gf_build(2, 2)
-    ring = ring_matrix(f, 2)
-    q = f.size
+    ring = ring_matrix(2, 2, 2)
+    fa, fm, _ = gf_tables(2, 2)
+    q = 4
     one_raw = 1 + q**3  # identity matrix under the raw row-major encoding
 
     def to_raw(i):  # undo the zero/one renumber transposition
@@ -66,10 +65,10 @@ def test_matrix_ring_against_naive_multiplication():
     for i, j in rng.integers(0, ring.size, size=(40, 2)):
         a, b = entries(to_raw(int(i))), entries(to_raw(int(j)))
         c = [
-            f.add(f.mul(a[0], b[0]), f.mul(a[1], b[2])),
-            f.add(f.mul(a[0], b[1]), f.mul(a[1], b[3])),
-            f.add(f.mul(a[2], b[0]), f.mul(a[3], b[2])),
-            f.add(f.mul(a[2], b[1]), f.mul(a[3], b[3])),
+            fa[fm[a[0], b[0]], fm[a[1], b[2]]],
+            fa[fm[a[0], b[1]], fm[a[1], b[3]]],
+            fa[fm[a[2], b[0]], fm[a[3], b[2]]],
+            fa[fm[a[2], b[1]], fm[a[3], b[3]]],
         ]
         raw = sum(c[t] * q**t for t in range(4))
         assert to_raw(int(ring.mul[i, j])) == raw
@@ -85,9 +84,8 @@ def test_poly_quot_tables_match_polynomial_arithmetic():
 
 
 def test_triangular_embeds_in_full_matrix_ring():
-    f4 = gf_build(2, 2)
-    tri = ring_triangular(f4, 1)
-    full = ring_matrix(f4, 2)
+    tri = ring_triangular(2, 2, 1)
+    full = ring_matrix(2, 2, 2)
     by_label = {full.label(i): i for i in range(full.size)}
     embed = [by_label[tri.label(i)] for i in range(tri.size)]
     for i in range(tri.size):
@@ -97,9 +95,9 @@ def test_triangular_embeds_in_full_matrix_ring():
 
 
 def test_triangular_sizes():
-    assert ring_triangular(gf_build(2, 2), 1).size == 32
-    assert ring_triangular(gf_build(3, 2), 1).size == 243
-    assert ring_triangular(gf_build(2, 2), 2).size == 64
+    assert ring_triangular(2, 2, 1).size == 32
+    assert ring_triangular(3, 2, 1).size == 243
+    assert ring_triangular(2, 2, 2).size == 64
 
 
 def test_product_ring_componentwise():
@@ -140,37 +138,37 @@ def test_parse_monomial():
 
 def test_division_ring_detection():
     assert ring_zmod(7).is_division_ring()
-    assert ring_from_field(gf_build(2, 3)).is_division_ring()
+    assert ring_gf(2, 3).is_division_ring()
     assert not ring_zmod(6).is_division_ring()
-    assert not ring_matrix(gf_build(2, 1), 2).is_division_ring()
+    assert not ring_matrix(2, 1, 2).is_division_ring()
 
 
 def test_size_cap():
     with pytest.raises(CapExceeded):
         ring_zmod(5000)
     with pytest.raises(CapExceeded):
-        ring_matrix(gf_build(2, 3), 2, caps=Caps(max_ring_size=1024))
+        ring_matrix(2, 3, 2, caps=Caps(max_ring_size=1024))
 
 
 @pytest.mark.parametrize(
     "build, field",
     [
         (lambda c: ring_zmod(9, caps=c), "max_ring_size=8"),
-        (lambda c: gf_build(2, 4, caps=c), "max_ring_size=8"),
-        (lambda c: ring_matrix(gf_build(2, 1), 2, caps=c), "max_ring_size=8"),
-        (lambda c: ring_triangular(gf_build(2, 2), 1, caps=c), "max_ring_size=8"),
+        (lambda c: ring_gf(2, 4, caps=c), "max_ring_size=8"),
+        (lambda c: ring_matrix(2, 1, 2, caps=c), "max_ring_size=8"),
+        (lambda c: ring_triangular(2, 2, 1, caps=c), "max_ring_size=8"),
         (lambda c: ring_product(ring_zmod(3), ring_zmod(3), caps=c), "max_ring_size=8"),
         (lambda c: ring_poly_quot(2, ["x^4"], ["x"], caps=c), "max_ring_size=8"),
         (lambda c: ring_from_tables(ring_zmod(9).add, ring_zmod(9).mul, caps=c), "max_ring_size=8"),
-        (lambda c: regular_module(ring_zmod(9), caps=c), "max_module_size=8"),
-        (lambda c: direct_sum(*[regular_module(ring_zmod(3))] * 2, caps=c), "max_module_size=8"),
+        (lambda c: regular_module(ring_zmod(9), caps=c), "max_ring_size=8"),
+        (lambda c: direct_sum(*[regular_module(ring_zmod(3))] * 2, caps=c), "max_ring_size=8"),
         (lambda c: max_clique(9, [0] * 9, caps=c), "max_exact_vertices=8"),
     ],
     ids=["zmod", "gf", "matrix", "triangular", "product", "poly_quot", "table",
          "module", "direct_sum", "solver"],
 )
 def test_every_cap_names_its_field(build, field):
-    caps = Caps(max_ring_size=8, max_module_size=8, max_exact_vertices=8)
+    caps = Caps(max_ring_size=8, max_exact_vertices=8)
     with pytest.raises(CapExceeded, match=field):
         build(caps)
 
@@ -188,21 +186,24 @@ def test_triangular_cap_is_checked_before_the_subfield_embedding(monkeypatch):
     def no_embedding(*args):
         raise AssertionError("the subfield embedding was sought before the cap check")
 
-    monkeypatch.setattr(rings, "subfield", no_embedding)
+    monkeypatch.setattr(rings, "subfield_image", no_embedding)
     with pytest.raises(CapExceeded, match="max_ring_size=1024"):
-        ring_triangular(gf_build(2, 10), 5)
+        ring_triangular(2, 10, 5)
 
 
 @pytest.mark.parametrize(
     "ring",
-    [{"kind": "triangular", "p": 2, "k": 10, "subfield_degree": 5}, {"kind": "matrix", "p": 2, "k": 5, "m": 2}],
-    ids=["triangular", "matrix"],
+    [{"kind": "triangular", "p": 2, "k": 10, "subfield_degree": 5}, {"kind": "matrix", "p": 2, "k": 5, "m": 2},
+     {"kind": "gf", "p": 2, "k": 11}],
+    ids=["triangular", "matrix", "gf"],
 )
 def test_oversized_ring_is_refused_before_its_field_is_built(monkeypatch, ring):
     def no_field(*args):
-        raise AssertionError("the field was built before the cap check")
+        raise AssertionError("a modulus was sought or a table formed before the cap check")
 
-    monkeypatch.setattr(specs, "gf_build", no_field)
+    monkeypatch.setattr(fields, "smallest_irreducible", no_field)
+    monkeypatch.setattr(fields, "algebra_tables", no_field)
+    monkeypatch.setattr(rings, "algebra_tables", no_field)
     with pytest.raises(CapExceeded, match="max_ring_size=1024"):
         specs.build_instance(specs.make_spec(ring, {"kind": "regular"}))
 
@@ -273,7 +274,7 @@ def test_huge_characteristic_is_refused_before_any_primality_test(monkeypatch):
     monkeypatch.setattr(rings, "is_prime", no_primality_test)
     p = 10000000000037
     with pytest.raises(CapExceeded, match="max_ring_size=1024"):
-        gf_build(p, 1)
+        ring_gf(p, 1)
     with pytest.raises(CapExceeded, match="max_ring_size=1024"):
         ring_poly_quot(p, ["x^2"], ["x"])
 
@@ -281,7 +282,7 @@ def test_huge_characteristic_is_refused_before_any_primality_test(monkeypatch):
 def test_planted_defects_above_256_are_rejected():
     # the law check is exact at every size; each of these tables passed the
     # sampled check that carriers above 256 used to get
-    ring = ring_from_field(gf_build(2, 9))
+    ring = ring_gf(2, 9)
     for i, j, v in [(100, 200, 17), (2, 2, 9)]:
         bad = ring.mul.copy()
         bad[i, j] = v

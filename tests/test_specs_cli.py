@@ -388,14 +388,18 @@ def test_verify_skips_a_spec_past_the_ring_cap(spec_file, tmp_path, capsys):
 
 
 def test_named_run_under_a_ring_cap_skips_only_the_large_rings(named_contexts, tmp_path, capsys, monkeypatch):
-    jsonl = tmp_path / "reports.jsonl"
+    # the flag and the env key set the one cap on ring and module elements
+    by_flag, by_env = tmp_path / "flag.jsonl", tmp_path / "env.jsonl"
+    monkeypatch.delenv("MODGRAPH_CAPS", raising=False)
+    assert main(["verify", "--family", "named", "--max-ring-size", "8", "--jsonl", str(by_flag)]) == 0
     monkeypatch.setenv("MODGRAPH_CAPS", "max_ring_size=8")
-    assert main(["verify", "--family", "named", "--jsonl", str(jsonl)]) == 0
+    assert main(["verify", "--family", "named", "--jsonl", str(by_env)]) == 0
     capsys.readouterr()
-    capped = jsonl.read_text().splitlines()
+    assert by_flag.read_bytes() == by_env.read_bytes()
+    capped = by_env.read_text().splitlines()
     uncapped = reports_to_jsonl(run_suite(named_contexts)[0]).splitlines()
-    large = {ctx.instance_id for ctx in named_contexts if ctx.ring.size > 8}
-    assert len(capped) == len(uncapped) == 275 and len(large) == 13
+    large = {ctx.instance_id for ctx in named_contexts if max(ctx.ring.size, ctx.module.size) > 8}
+    assert len(capped) == len(uncapped) == 275 and len(large) == 16
     for got, want in zip(capped, uncapped):
         rep = json.loads(got)
         if rep["instance"] not in large:
@@ -433,7 +437,7 @@ def test_a_refused_build_is_not_tried_again(monkeypatch):
 
     monkeypatch.setattr(specs_mod, "build_ring", counted)
     pair = {"kind": "direct_sum", "left": {"kind": "regular"}, "right": {"kind": "regular"}}
-    reports, _ = run_suite(zoo.contexts([make_spec({"kind": "zmod", "n": 12}, pair)], Caps(max_module_size=100)))
+    reports, _ = run_suite(zoo.contexts([make_spec({"kind": "zmod", "n": 12}, pair)], Caps(max_ring_size=100)))
     assert calls == ["zmod"]  # the ring was built, and the 144-element sum refused, once
     assert {r.status for r in reports} == {"SKIPPED", "VACUOUS"}
-    assert all("max_module_size=100" in r.witness for r in reports if r.status == "SKIPPED")
+    assert all("max_ring_size=100" in r.witness for r in reports if r.status == "SKIPPED")
