@@ -26,8 +26,7 @@ from .graphs import (
     color_complement_by_uniform_clique,
     homogeneous_socle_pair,
 )
-from .lattice import Lattice, find_double_simple_image, ideal_product, prime_radical, section_hom_count
-from .modules import Submodule
+from .lattice import Lattice, find_double_simple_image, ideal_product, prime_radical
 from .solvers import iter_bits
 from .zoo import InstanceContext
 
@@ -236,7 +235,6 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
         s_lat = lat.simple_complement(t_lat)
         if s_lat is None:
             return fail("no simple complement")
-        s_sub = lat.subs[s_lat]
         # (1)(ii) complement degree counts the endomorphisms of S
         ends = lat.hom_count(s_lat, s_lat)
         item["end_size"] = ends
@@ -251,12 +249,10 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
             return fail("inner simple not isomorphic to the complement")
         # (1)(iv) no quotient of T by a nontrivial submodule contains a copy of
         # S: the simples of T/N are A/N for the covers A of N inside [N, T]
-        zero = lat.subs[lat.zero_index]
         for n_idx in lat.nontrivial_indices():
             if n_idx == t_lat or not lat.leq(n_idx, t_lat):
                 continue
-            n_sub = lat.subs[n_idx]
-            if any(section_hom_count(lat.subs[a], n_sub, s_sub, zero) > 1
+            if any(lat.section_hom(a, n_idx, s_lat, lat.zero_index) > 1
                    for a in lat.covers_in(n_idx, t_lat)):
                 return fail(f"T/{lat.describe(n_idx)} contains a copy of S")
         # (2)(i) socle is the direct pair, essential
@@ -450,14 +446,14 @@ def _ring_trichotomy(ctx: InstanceContext) -> tuple[str | None, dict]:
     details["radical_size"] = rad.size
     nontrivial = lat.nontrivial_indices()
     if len(nontrivial) == 0:
-        details["division_ring"] = ctx.ring.is_division_ring()
-        return ("division", details) if details["division_ring"] else (None, details)
+        # R_R simple: Ra = R for every a != 0, so each a != 0 has a left
+        # inverse, and a finite ring is Dedekind-finite, so R is a division ring
+        details["division_ring"] = True
+        return "division", details
     if len(nontrivial) == 1:
         return ("chain-radical", details) if nontrivial[0] == rad_idx else (None, details)
     if len(nontrivial) == 2 and lat.is_chain():
-        sq = ideal_product(lat.module, rad.members, rad.members)
-        sq_idx = lat.position(Submodule(lat.module, sq))
-        ok = {nontrivial[0], nontrivial[1]} == {rad_idx, sq_idx}
+        ok = set(nontrivial) == {rad_idx, ideal_product(lat, rad_idx, rad_idx)}
         return ("chain-radical", details) if ok else (None, details)
     soc = lat.socle_index()
     if rad.size == 1 and soc == lat.full_index and lat.composition_length() == 2:
@@ -474,15 +470,14 @@ def _ring_trichotomy(ctx: InstanceContext) -> tuple[str | None, dict]:
                     return "semisimple-pair", details
         return None, details
     if rad_idx == soc and lat.maximal_indices() == [soc] and lat.length_of(soc) == 2:
-        sq = ideal_product(lat.module, rad.members, rad.members)
-        if len(sq) != 1:
+        if ideal_product(lat, rad_idx, rad_idx) != lat.zero_index:
             return None, details
         # rad is the only maximal left ideal, so [rad, R], the lattice of left
         # ideals of R/rad, has two members: R/rad is a division ring
         residue = details["residue_size"] = ctx.ring.size // rad.size
         # and the section M/rad is simple
-        full, zero = lat.subs[lat.full_index], lat.subs[lat.zero_index]
-        if not all(section_hom_count(lat.subs[a], zero, full, rad) > 1 for a in lat.atom_indices()):
+        if not all(lat.section_hom(a, lat.zero_index, lat.full_index, rad_idx) > 1
+                   for a in lat.atom_indices()):
             return None, details
         if ctx.graph.n != residue + 2:
             return None, details
@@ -610,13 +605,12 @@ def _has_detached_section(lat: Lattice, s_idx: int) -> bool:
     trivially and A/B a copy of S?  A nonzero A & N contains an atom of N,
     which is S, so A meets N trivially exactly when S is not inside A, and
     the answer depends on S alone.  A/B is simple exactly when A covers B."""
-    s_sub, zero = lat.subs[s_idx], lat.subs[lat.zero_index]
-    for b_idx, b_sub in enumerate(lat.subs):
+    subs = lat.subs
+    for b_idx, b_sub in enumerate(subs):
         for a_idx in lat.covers_in(b_idx, lat.full_index):
-            a_sub = lat.subs[a_idx]
-            if a_sub.size // b_sub.size != s_sub.size or lat.leq(s_idx, a_idx):
+            if subs[a_idx].size // b_sub.size != subs[s_idx].size or lat.leq(s_idx, a_idx):
                 continue
-            if section_hom_count(a_sub, b_sub, s_sub, zero) > 1:
+            if lat.section_hom(a_idx, b_idx, s_idx, lat.zero_index) > 1:
                 return True
     return False
 

@@ -35,9 +35,12 @@ hom counts `hom_count(a, b)`, each computed once per lattice from the atoms
 the order kernel already knows, so no atom is proved simple again.
 
 Also here: Goldie dimension, composition length, hom counts between simple
-sections via annihilators of coset representatives, the double-simple-image
-search, and the prime radical of a finite ring (= Jacobson radical, computed
-as the intersection of the maximal left ideals).
+sections via annihilators of coset representatives (`section_hom` takes
+member indices), the double-simple-image search, and, on the lattice of
+R_R, ideal products and the prime radical of a finite ring (= Jacobson
+radical, the meet of the maximal left ideals).  A product of left ideals is
+the join of the cyclic left ideals R(xy), so products and radical powers are
+member indices too, and no element set is closed after enumeration.
 """
 
 from __future__ import annotations
@@ -51,12 +54,7 @@ import numpy as np
 
 from .caps import Caps
 from .errors import CapExceeded, ConstructionError, StructureError
-from .modules import (
-    FiniteModule,
-    Submodule,
-    close_subset,
-    cyclic_members,
-)
+from .modules import FiniteModule, Submodule, cyclic_members
 from .solvers import iter_bits
 
 
@@ -277,9 +275,14 @@ class Lattice:
             raise StructureError("hom_count needs atom indices")
         key = (min(a, b), max(a, b))
         if key not in self._homs:
-            zero = self.subs[self.zero_index]
-            self._homs[key] = section_hom_count(self.subs[key[0]], zero, self.subs[key[1]], zero)
+            self._homs[key] = self.section_hom(key[0], self.zero_index, key[1], self.zero_index)
         return self._homs[key]
+
+    def section_hom(self, a: int, b: int, c: int, d: int) -> int:
+        """#Hom(N_a/N_b, N_c/N_d) for a simple section N_a/N_b and a section
+        N_c/N_d of this lattice's module: `section_hom_count` by index."""
+        subs = self.subs
+        return section_hom_count(subs[a], subs[b], subs[c], subs[d])
 
     def chain_lengths(self) -> list[int]:
         """Longest-chain length from 0 up to each submodule."""
@@ -478,24 +481,35 @@ def find_double_simple_image(lattice: Lattice) -> dict | None:
     order, with A/K isomorphic to B/K; A and B are submodules of M.  No
     module is built.
     """
-    for k_idx, kernel in enumerate(lattice.subs):
-        covers = [lattice.subs[i] for i in lattice.covers_in(k_idx, lattice.full_index)]
+    subs = lattice.subs
+    for k in range(len(subs)):
+        covers = lattice.covers_in(k, lattice.full_index)
         for ai, a in enumerate(covers):
             for b in covers[ai + 1:]:
-                if section_hom_count(a, kernel, b, kernel) > 1:
-                    return {"kernel": kernel, "pair": (a, b)}
+                if lattice.section_hom(a, k, b, k) > 1:
+                    return {"kernel": subs[k], "pair": (subs[a], subs[b])}
     return None
 
 
 # -- prime radical -------------------------------------------------------------
 
 
-def ideal_product(module: FiniteModule, a_members, b_members) -> np.ndarray:
-    """Members of the (left ideal) additive closure of {a*b} inside a regular module."""
-    ring = module.ring
-    a = np.array(sorted(int(x) for x in a_members))
-    b = np.array(sorted(int(x) for x in b_members))
-    return close_subset(module, ring.mul[np.ix_(a, b)].ravel())
+def _regular(lattice: Lattice, caller: str) -> FiniteModule:
+    if not lattice.module.is_regular:
+        raise StructureError(f"{caller} needs the lattice of the ring's regular module")
+    return lattice.module
+
+
+def ideal_product(lattice: Lattice, a: int, b: int) -> int:
+    """Index of the product N_a N_b of two left ideals of R, members a and b
+    of the lattice of R_R.  The product is additively spanned by the xy, and
+    R(xy) = (Rx)y lies in it, so it is the join of the cyclic left ideals
+    R(xy) over the distinct products xy."""
+    reg = _regular(lattice, "ideal_product")
+    products = np.zeros(reg.size, dtype=bool)
+    products[reg.act[np.ix_(lattice.subs[a].members, lattice.subs[b].members)]] = True
+    cyclics = {lattice._cyclic[p] for p in np.flatnonzero(products).tolist()}
+    return reduce(lattice.join_index, cyclics, lattice.zero_index)
 
 
 def prime_radical(lattice: Lattice) -> Submodule:
@@ -504,27 +518,19 @@ def prime_radical(lattice: Lattice) -> Submodule:
     so this equals the Jacobson and prime radicals).  Postconditions checked:
     the result is a nilpotent two-sided ideal annihilating every minimal
     left ideal."""
-    reg = lattice.module
-    ring = reg.ring
-    if not (reg.add is ring.add and reg.act is ring.mul):
-        raise StructureError("prime_radical needs the lattice of the ring's regular module")
-    acc = lattice.subs[lattice.full_index].bits
-    for i in lattice.maximal_indices():
-        acc &= lattice.subs[i].bits
-    rad = lattice.subs[lattice._pos[acc]]
-    mem = np.array(rad.members)
-    two_sided = set(int(v) for v in ring.mul[mem, :].ravel()) <= set(rad.members)
-    if not two_sided:
+    _regular(lattice, "prime_radical")
+    zero = lattice.zero_index
+    rad = reduce(lattice.meet_index, lattice.maximal_indices(), lattice.full_index)
+    # rad R holds rad (y = 1), so it is rad exactly when every xy lies in rad
+    if ideal_product(lattice, rad, lattice.full_index) != rad:
         raise ConstructionError("radical is not a two-sided ideal")
-    power = rad.members
-    for _ in range(ring.size):
-        if len(power) == 1:
+    power = rad
+    for _ in range(lattice.module.size):
+        if power == zero:
             break
-        power = tuple(int(x) for x in ideal_product(reg, power, rad.members))
-    if len(power) != 1:
+        power = ideal_product(lattice, power, rad)
+    if power != zero:
         raise ConstructionError("radical is not nilpotent")
-    for i in lattice.atom_indices():
-        amem = np.array(lattice.subs[i].members)
-        if ring.mul[np.ix_(mem, amem)].any():
-            raise ConstructionError("radical does not annihilate a minimal left ideal")
-    return rad
+    if any(ideal_product(lattice, rad, i) != zero for i in lattice.atom_indices()):
+        raise ConstructionError("radical does not annihilate a minimal left ideal")
+    return lattice.subs[rad]

@@ -41,8 +41,14 @@ class FiniteModule:
         self.meta = meta or {}
         self._verify()
 
+    @property
+    def is_regular(self) -> bool:
+        """Is this R_R on the ring's own tables, as `regular_module` builds
+        it?  A module given copies of them is verified like any other."""
+        return self.add is self.ring.add and self.act is self.ring.mul
+
     def _verify(self) -> None:
-        if self.add is self.ring.add and self.act is self.ring.mul:
+        if self.is_regular:
             # R_R: the module axioms are the ring axioms FiniteRing checked
             return
         m, add, act = self.size, self.add, self.act
@@ -94,13 +100,6 @@ class Submodule:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @property
-    def key(self) -> tuple:
-        return (len(self.members), self.members)
-
-    def contains(self, other: "Submodule") -> bool:
-        return other.bits & self.bits == other.bits
 
     def __eq__(self, other):
         return isinstance(other, Submodule) and self.module is other.module and self.bits == other.bits

@@ -164,11 +164,6 @@ class FiniteRing:
     def label(self, i: int) -> str:
         return self.labels[i]
 
-    def is_division_ring(self) -> bool:
-        """Every nonzero a has some b with ab = 1, which for a finite ring
-        (Dedekind-finite) gives ba = 1 too."""
-        return bool((self.mul[1:] == 1).any(axis=1).all())
-
     def __repr__(self) -> str:
         return f"FiniteRing({self.backend_tag}, n={self.size})"
 

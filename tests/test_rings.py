@@ -136,13 +136,6 @@ def test_parse_monomial():
         parse_monomial("x^0", ["x"])
 
 
-def test_division_ring_detection():
-    assert ring_zmod(7).is_division_ring()
-    assert ring_gf(2, 3).is_division_ring()
-    assert not ring_zmod(6).is_division_ring()
-    assert not ring_matrix(2, 1, 2).is_division_ring()
-
-
 def test_size_cap():
     with pytest.raises(CapExceeded):
         ring_zmod(5000)
