@@ -249,11 +249,10 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
             return fail("inner simple not isomorphic to the complement")
         # (1)(iv) no quotient of T by a nontrivial submodule contains a copy of
         # S: the simples of T/N are A/N for the covers A of N inside [N, T]
-        for n_idx in lat.nontrivial_indices():
-            if n_idx == t_lat or not lat.leq(n_idx, t_lat):
-                continue
-            if any(lat.section_hom(a, n_idx, s_lat, lat.zero_index) > 1
-                   for a in lat.covers_in(n_idx, t_lat)):
+        s_class = lat.section_class(s_lat, lat.zero_index)
+        below_t = lat.interval(lat.zero_index, t_lat) ^ (1 << t_lat) ^ (1 << lat.zero_index)
+        for n_idx in iter_bits(below_t):
+            if any(lat.section_class(a, n_idx) == s_class for a in lat.covers_in(n_idx, t_lat)):
                 return fail(f"T/{lat.describe(n_idx)} contains a copy of S")
         # (2)(i) socle is the direct pair, essential
         soc = lat.socle_index()
@@ -440,10 +439,8 @@ def check_complement_coloring(ctx: InstanceContext) -> CheckReport:
 
 def _ring_trichotomy(ctx: InstanceContext) -> tuple[str | None, dict]:
     lat = ctx.lattice
-    details: dict = {}
     rad = prime_radical(lat)
-    rad_idx = lat.position(rad)
-    details["radical_size"] = rad.size
+    details: dict = {"radical_size": lat.subs[rad].size}
     nontrivial = lat.nontrivial_indices()
     if len(nontrivial) == 0:
         # R_R simple: Ra = R for every a != 0, so each a != 0 has a left
@@ -451,33 +448,30 @@ def _ring_trichotomy(ctx: InstanceContext) -> tuple[str | None, dict]:
         details["division_ring"] = True
         return "division", details
     if len(nontrivial) == 1:
-        return ("chain-radical", details) if nontrivial[0] == rad_idx else (None, details)
+        return ("chain-radical", details) if nontrivial[0] == rad else (None, details)
     if len(nontrivial) == 2 and lat.is_chain():
-        ok = set(nontrivial) == {rad_idx, ideal_product(lat, rad_idx, rad_idx)}
+        ok = set(nontrivial) == {rad, ideal_product(lat, rad, rad)}
         return ("chain-radical", details) if ok else (None, details)
     soc = lat.socle_index()
-    if rad.size == 1 and soc == lat.full_index and lat.composition_length() == 2:
+    if rad == lat.zero_index and soc == lat.full_index and lat.composition_length() == 2:
+        # a pair of isomorphic simples, or exactly two non-isomorphic ones
         atoms = lat.atom_indices()
-        iso = lat.hom_count(atoms[0], atoms[1]) > 1
-        if all((lat.hom_count(atoms[0], a) > 1) == iso for a in atoms[1:]):
-            if iso:
-                ends = lat.hom_count(atoms[0], atoms[0])
-                details["end_size"] = ends
-                if ctx.graph.n == ends + 1:
-                    return "semisimple-pair", details
-            else:
-                if len(atoms) == 2 and ctx.graph.n == 2:
-                    return "semisimple-pair", details
+        if len({lat.section_class(a, lat.zero_index) for a in atoms}) == 1:
+            ends = details["end_size"] = lat.hom_count(atoms[0], atoms[0])
+            if ctx.graph.n == ends + 1:
+                return "semisimple-pair", details
+        elif len(atoms) == 2 and ctx.graph.n == 2:
+            return "semisimple-pair", details
         return None, details
-    if rad_idx == soc and lat.maximal_indices() == [soc] and lat.length_of(soc) == 2:
-        if ideal_product(lat, rad_idx, rad_idx) != lat.zero_index:
+    if rad == soc and lat.maximal_indices() == [soc] and lat.length_of(soc) == 2:
+        if ideal_product(lat, rad, rad) != lat.zero_index:
             return None, details
         # rad is the only maximal left ideal, so [rad, R], the lattice of left
         # ideals of R/rad, has two members: R/rad is a division ring
-        residue = details["residue_size"] = ctx.ring.size // rad.size
-        # and the section M/rad is simple
-        if not all(lat.section_hom(a, lat.zero_index, lat.full_index, rad_idx) > 1
-                   for a in lat.atom_indices()):
+        residue = details["residue_size"] = ctx.ring.size // details["radical_size"]
+        # and the section M/rad is simple: each atom must be a copy of it
+        top = lat.section_class(lat.full_index, rad)
+        if any(lat.section_class(a, lat.zero_index) != top for a in lat.atom_indices()):
             return None, details
         if ctx.graph.n != residue + 2:
             return None, details
@@ -554,7 +548,6 @@ def check_connectivity(ctx: InstanceContext) -> CheckReport:
 def check_structure_report(ctx: InstanceContext) -> CheckReport:
     cid = "C11-structure-report"
     g, lat = ctx.graph, ctx.lattice
-    details: dict = {}
     maximal = []
     for v in _small_degree_maximals(g, lat):
         s_lat = lat.simple_complement(v + 1)
@@ -569,17 +562,11 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
             entry["end_size"] = lat.hom_count(s_lat, s_lat)
             entry["alpha"] = g.n
         maximal.append(entry)
-    details["small_degree_maximal"] = maximal
     witness = find_double_simple_image(lat)
-    details["double_simple_image"] = (
-        None
-        if witness is None
-        else {
-            "kernel": lat.describe(lat.position(witness["kernel"])),
-            "kernel_size": witness["kernel"].size,
-            "quotient_size": ctx.module.size // witness["kernel"].size,
-        }
-    )
+    if witness is not None:
+        k = witness["kernel"]
+        witness = {"kernel": lat.describe(k), "kernel_size": lat.subs[k].size,
+                   "quotient_size": ctx.module.size // lat.subs[k].size}
     # the facts of a uniform vertex N depend only on its atom S
     per_vertex, per_atom = [], {}
     for v in range(g.n):
@@ -596,7 +583,7 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
                 }
             entry.update(per_atom[s])
         per_vertex.append(entry)
-    details["vertices"] = per_vertex
+    details = {"small_degree_maximal": maximal, "double_simple_image": witness, "vertices": per_vertex}
     return CheckReport(cid, ctx.instance_id, PASS, None, details)
 
 
@@ -604,15 +591,15 @@ def _has_detached_section(lat: Lattice, s_idx: int) -> bool:
     """For any N whose only atom is S: is there a pair B < A with A meeting N
     trivially and A/B a copy of S?  A nonzero A & N contains an atom of N,
     which is S, so A meets N trivially exactly when S is not inside A, and
-    the answer depends on S alone.  A/B is simple exactly when A covers B."""
-    subs = lat.subs
-    for b_idx, b_sub in enumerate(subs):
-        for a_idx in lat.covers_in(b_idx, lat.full_index):
-            if subs[a_idx].size // b_sub.size != subs[s_idx].size or lat.leq(s_idx, a_idx):
-                continue
-            if lat.section_hom(a_idx, b_idx, s_idx, lat.zero_index) > 1:
-                return True
-    return False
+    the answer depends on S alone.  A/B is simple exactly when A covers B,
+    and a copy of S exactly when its class is S's; copies have S's size."""
+    subs, s_class = lat.subs, lat.section_class(s_idx, lat.zero_index)
+    return any(
+        lat.section_class(a, b) == s_class
+        for b, b_sub in enumerate(subs)
+        for a in lat.covers_in(b, lat.full_index)
+        if subs[a].size // b_sub.size == subs[s_idx].size and not lat.leq(s_idx, a)
+    )
 
 
 # -- suite runner -----------------------------------------------------------------------
@@ -648,8 +635,8 @@ def run_suite(contexts, check_ids=None, caps: Caps | None = None):
 
     Returns (reports, summary); reports are ordered by (instance, check).
     Per-instance cap errors become SKIPPED entries rather than aborting.
+    Each context carries its own caps, so caps is not read here.
     """
-    caps = caps or Caps()
     ids = list(check_ids) if check_ids else list(ALL_CHECKS)
     for cid in ids:
         if cid not in ALL_CHECKS:

@@ -15,7 +15,7 @@ from . import zoo
 from .caps import Caps, caps_from_env
 from .checks import ALL_CHECKS, render_summary, reports_to_jsonl, run_suite
 from .errors import CapExceeded, ModgraphError, SpecError
-from .graphs import INF
+from .graphs import _json_inf
 from .specs import load_spec_file
 
 EXIT_OK = 0
@@ -65,8 +65,6 @@ def cmd_invariants(args) -> int:
     omega_c, _ = g.complement_clique_number(caps)
     chi_c, _ = g.complement_chromatic(caps)
     soc = lat.socle_index()
-    goldie, _ = lat.goldie_dimension()
-    girth, diameter = g.girth(), g.diameter()
     payload = {
         "instance": ctx.instance_id,
         "order": g.n,
@@ -75,12 +73,12 @@ def cmd_invariants(args) -> int:
         "chi": chi,
         "omega_c": omega_c,
         "chi_c": chi_c,
-        "girth": "inf" if girth == INF else int(girth),
-        "diameter": "inf" if diameter == INF else int(diameter),
+        "girth": _json_inf(g.girth()),
+        "diameter": _json_inf(g.diameter()),
         "connected": g.is_connected(),
         "shape": g.classify_shape().tag,
         "socle": {"size": lat.subs[soc].size, "generators": [lat.module.label(x) for x in lat.gens(soc)]},
-        "goldie_dimension": goldie,
+        "goldie_dimension": lat.goldie_dimension()[0],
         "length": lat.composition_length(),
     }
     print(json.dumps(payload, sort_keys=True, indent=2))
@@ -179,9 +177,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -31,16 +31,17 @@ of its canonical parent and then x, as the enumeration recorded them;
 them.
 
 The socle facts the checks share live here too: `socle_pair` and the atom
-hom counts `hom_count(a, b)`, each computed once per lattice from the atoms
-the order kernel already knows, so no atom is proved simple again.
+hom counts `hom_count(a, b)`, read off the atoms the order kernel knows, so
+no atom is proved simple again.  `section_class(a, b)` is the annihilator of
+a simple section N_a/N_b, and sections are isomorphic exactly when their
+classes are equal, so checks compare classes and count no homs.
 
-Also here: Goldie dimension, composition length, hom counts between simple
-sections via annihilators of coset representatives (`section_hom` takes
-member indices), the double-simple-image search, and, on the lattice of
-R_R, ideal products and the prime radical of a finite ring (= Jacobson
-radical, the meet of the maximal left ideals).  A product of left ideals is
-the join of the cyclic left ideals R(xy), so products and radical powers are
-member indices too, and no element set is closed after enumeration.
+Also here: Goldie dimension, composition length, the double-simple-image
+search, and, on the lattice of R_R, ideal products and the prime radical of
+a finite ring (= Jacobson radical, the meet of the maximal left ideals).  A
+product of left ideals is the join of the cyclic left ideals R(xy), so
+products and radical powers are member indices too, and no element set is
+closed after enumeration.
 """
 
 from __future__ import annotations
@@ -85,14 +86,12 @@ class Lattice:
         self._pos = {s.bits: i for i, s in enumerate(self.subs)}
         self.zero_index = self._pos[1]
         self.full_index = self._pos[(1 << module.size) - 1]
-        self._homs: dict[tuple[int, int], int] = {}
+        self._classes: dict[tuple[int, int], int] = {}
+        self._ends: dict[int, int] = {}
         self._downs: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.subs)
-
-    def position(self, sub: Submodule) -> int:
-        return self._pos[sub.bits]
 
     def leq(self, i: int, j: int) -> bool:
         a, b = self.subs[i].bits, self.subs[j].bits
@@ -236,9 +235,13 @@ class Lattice:
 
     # -- intervals: Lat(hi/lo) is [lo, hi] ---------------------------------
 
+    def interval(self, lo: int, hi: int) -> int:
+        """Bitset of [lo, hi], the members between lo and hi."""
+        return self._order.up[lo] & self._down(hi)
+
     def interval_size(self, lo: int, hi: int) -> int:
         """|[lo, hi]|, the number of submodules of hi/lo."""
-        return (self._order.up[lo] & self._down(hi)).bit_count()
+        return self.interval(lo, hi).bit_count()
 
     def covers_in(self, lo: int, hi: int) -> list[int]:
         """Covers of lo inside [lo, hi]; A/lo for these A are the simple
@@ -267,22 +270,37 @@ class Lattice:
             return None
         return tuple(self.atom_indices()[:2])
 
+    def section_class(self, a: int, b: int) -> int:
+        """The class of the simple section N_a/N_b, for N_a covering N_b: its
+        annihilator {r in R : r N_a <= N_b} as a bitset over R, computed once
+        per pair.  Simple sections are isomorphic exactly when their classes
+        are equal.  Isomorphic modules share an annihilator P; conversely, S
+        and S' with annihilator P are faithful simple modules over the finite
+        primitive ring R/P, which is simple Artinian (Jacobson density) and
+        so has one simple module up to isomorphism (Wedderburn-Artin; Lam,
+        A First Course in Noncommutative Rings, GTM 131)."""
+        if (a, b) not in self._classes:
+            if not (self._order.up[b] >> a & 1 and self._order.heights[a] == self._order.heights[b] + 1):
+                raise StructureError("section_class needs a member covering another")
+            in_b = np.zeros(self.module.size, dtype=bool)
+            in_b[list(self.subs[b].members)] = True
+            kills = in_b[self.module.act[:, self.subs[a].members]].all(axis=1)
+            self._classes[a, b] = int.from_bytes(np.packbits(kills, bitorder="little").tobytes(), "little")
+        return self._classes[a, b]
+
     def hom_count(self, a: int, b: int) -> int:
-        """#Hom(S_a, S_b) for atoms a and b.  Between simples it is |End(S_a)|
-        when they are isomorphic and 1 otherwise, so it is symmetric and is
-        solved once per unordered pair."""
+        """#Hom(S_a, S_b) for atoms a and b: |End(S_a)| when they are
+        isomorphic, that is when their classes are equal, and 1 otherwise.
+        |End(S)| is counted once per class."""
         if not (self.is_simple(a) and self.is_simple(b)):
             raise StructureError("hom_count needs atom indices")
-        key = (min(a, b), max(a, b))
-        if key not in self._homs:
-            self._homs[key] = self.section_hom(key[0], self.zero_index, key[1], self.zero_index)
-        return self._homs[key]
-
-    def section_hom(self, a: int, b: int, c: int, d: int) -> int:
-        """#Hom(N_a/N_b, N_c/N_d) for a simple section N_a/N_b and a section
-        N_c/N_d of this lattice's module: `section_hom_count` by index."""
-        subs = self.subs
-        return section_hom_count(subs[a], subs[b], subs[c], subs[d])
+        cls = self.section_class(a, self.zero_index)
+        if cls != self.section_class(b, self.zero_index):
+            return 1
+        if cls not in self._ends:
+            s, z = self.subs[a], self.subs[self.zero_index]
+            self._ends[cls] = section_hom_count(s, z, s, z)
+        return self._ends[cls]
 
     def chain_lengths(self) -> list[int]:
         """Longest-chain length from 0 up to each submodule."""
@@ -424,6 +442,8 @@ def section_hom_count(a: Submodule, b: Submodule, c: Submodule, d: Submodule) ->
     A/B is generated by any x in A outside B, so a hom is fixed by the image
     t + D of x + B, and the valid images are exactly the cosets of the
     t in C with ann(x + B) t in D, where ann(x + B) = {r : r x in B}.
+    `Lattice.hom_count` counts |End(S)| with it once per class of atoms, and
+    it is the tests' reference for `Lattice.section_class`.
     """
     src, tgt = a.module, c.module
     if src.ring is not tgt.ring:
@@ -477,17 +497,16 @@ def find_double_simple_image(lattice: Lattice) -> dict | None:
     of isomorphic simple submodules; None when no quotient does.
 
     The simple submodules of M/K are A/K for the covers A of K, so the
-    returned pair is the first pair (A, B) of covers of K, in canonical
-    order, with A/K isomorphic to B/K; A and B are submodules of M.  No
-    module is built.
+    returned pair is the first cover A of K, in canonical order, with a
+    later cover B of the same class, and the first such B.  Kernel and pair
+    are member indices, and no module is built.
     """
-    subs = lattice.subs
-    for k in range(len(subs)):
+    for k in range(len(lattice)):
         covers = lattice.covers_in(k, lattice.full_index)
-        for ai, a in enumerate(covers):
-            for b in covers[ai + 1:]:
-                if lattice.section_hom(a, k, b, k) > 1:
-                    return {"kernel": subs[k], "pair": (subs[a], subs[b])}
+        classes = [lattice.section_class(a, k) for a in covers] if len(covers) > 1 else []
+        for ai, cls in enumerate(classes):
+            if cls in classes[ai + 1:]:
+                return {"kernel": k, "pair": (covers[ai], covers[classes.index(cls, ai + 1)])}
     return None
 
 
@@ -512,9 +531,9 @@ def ideal_product(lattice: Lattice, a: int, b: int) -> int:
     return reduce(lattice.join_index, cyclics, lattice.zero_index)
 
 
-def prime_radical(lattice: Lattice) -> Submodule:
-    """Prime radical of a finite ring R, read off the lattice of R_R: the
-    intersection of all maximal left ideals (finite rings are left Artinian,
+def prime_radical(lattice: Lattice) -> int:
+    """Index of the prime radical of a finite ring R in the lattice of R_R:
+    the intersection of all maximal left ideals (finite rings are left Artinian,
     so this equals the Jacobson and prime radicals).  Postconditions checked:
     the result is a nilpotent two-sided ideal annihilating every minimal
     left ideal."""
@@ -533,4 +552,4 @@ def prime_radical(lattice: Lattice) -> Submodule:
         raise ConstructionError("radical is not nilpotent")
     if any(ideal_product(lattice, rad, i) != zero for i in lattice.atom_indices()):
         raise ConstructionError("radical does not annihilate a minimal left ideal")
-    return lattice.subs[rad]
+    return rad

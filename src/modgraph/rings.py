@@ -133,8 +133,6 @@ class FiniteRing:
         self.size = n
         self.add = frozen_table(add, n)
         self.mul = frozen_table(mul, n)
-        self.zero = 0
-        self.one = 1
         self.backend_tag = backend_tag
         self.labels = labels or [str(i) for i in range(n)]
         self.meta = meta or {}

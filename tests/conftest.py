@@ -1,9 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from modgraph.caps import Caps
 from modgraph.modules import direct_sum, quotient, regular_module, submodule_generated
 from modgraph.rings import ring_gf, ring_triangular, ring_zmod
 from modgraph.zoo import contexts, family, named_instance_specs
+
+# the interpreters the CLI tests start import the package from src/ too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

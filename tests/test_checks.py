@@ -211,7 +211,7 @@ def test_c9_residue_of_a_radical_pair_is_a_division_ring(named_contexts):
         rep = check_triangle_free(ctx)
         if "ring_residue_size" in rep.details:
             reached.append(ctx.instance_id)
-            ring, rad = ctx.ring, prime_radical(ctx.lattice)
+            ring, rad = ctx.ring, ctx.lattice.subs[prime_radical(ctx.lattice)]
             assert brute_residue_is_division(ring.add, ring.mul, rad.members), ctx.instance_id
             assert rep.details["ring_residue_size"] == ring.size // rad.size
     assert len(reached) == 5 and "polyquot(F5,x^2,x*y,y^2)/regular" in reached
@@ -333,15 +333,24 @@ def test_suite_reads_each_structural_fact_once(monkeypatch, named_contexts, fami
     monkeypatch.setattr(
         checks, "_has_detached_section", lambda lat, s: scanned.update([s]) or real_scan(lat, s)
     )
+    # isomorphism is read off section classes; |End(S)| is counted once per
+    # class of atoms
+    counted = []
+    real_count = lattice.section_hom_count
+    monkeypatch.setattr(lattice, "section_hom_count", lambda *args: counted.append(1) or real_count(*args))
     for ctx in [*named_contexts, *family16_contexts]:
         fresh = InstanceContext(ctx.instance, ctx.caps)
         solved.clear()
         scanned.clear()
+        counted.clear()
         reports, summary = run_suite([fresh])
         assert not summary.failed and len(reports) == len(ALL_CHECKS), ctx.instance_id
         assert len(solved) <= 2, ctx.instance_id
         assert max(scanned.values(), default=0) <= 1, ctx.instance_id
         assert set(scanned) <= set(fresh.lattice.atom_indices()), ctx.instance_id
+        lat = fresh.lattice
+        classes = {lat.section_class(a, lat.zero_index) for a in lat.atom_indices()}
+        assert len(counted) <= len(classes), ctx.instance_id
 
 
 def test_checks_build_no_ring_module_or_lattice(monkeypatch, named_contexts, family16_contexts):

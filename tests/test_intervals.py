@@ -8,6 +8,7 @@ built and their lattices enumerated again, as the reference.
 import numpy as np
 import pytest
 
+from modgraph.errors import StructureError
 from modgraph.lattice import (
     enumerate_submodules,
     hom_count_simples,
@@ -23,6 +24,7 @@ from modgraph.modules import (
     submodule_as_module,
 )
 from modgraph.rings import ring_gf, ring_zmod
+from modgraph.zoo import family
 
 from .oracles import (
     brute_covers,
@@ -91,8 +93,42 @@ def test_section_hom_count_matches_built_sections(named_contexts, family16_conte
                 assert got == hom_count_simples(whole_submodule(x), whole_submodule(y)), (
                     ctx.instance_id, (b, a), (d, c),
                 )
+                same = lat.section_class(a, b) == lat.section_class(c, d)
+                assert same == (got > 1), (ctx.instance_id, (b, a), (d, c))
                 pairs += 1
     assert pairs > 2000
+
+
+def test_section_classes_are_isomorphism_classes(named_contexts):
+    # two simple sections are isomorphic exactly when their annihilators agree
+    checked, isomorphic = 0, 0
+    for ctx in [*named_contexts, *family(64)]:
+        lat = ctx.lattice
+        subs = lat.subs
+        by_size: dict[int, list[tuple[int, int]]] = {}
+        for b in range(len(lat)):
+            for a in lat.covers_in(b, lat.full_index):
+                by_size.setdefault(subs[a].size // subs[b].size, []).append((a, b))
+        for sections in by_size.values():
+            for a, b in sections:
+                for c, d in sections:
+                    iso = section_hom_count(subs[a], subs[b], subs[c], subs[d]) > 1
+                    assert (lat.section_class(a, b) == lat.section_class(c, d)) == iso, (
+                        ctx.instance_id, (b, a), (d, c),
+                    )
+                    checked += 1
+                    isomorphic += iso
+    assert checked > 80000 and 0 < isomorphic < checked
+
+
+def test_section_class_needs_a_cover(z12_module):
+    lat = enumerate_submodules(z12_module)  # members of sizes 1, 2, 3, 4, 6, 12
+    assert lat.section_class(1, 0) != lat.section_class(2, 0)  # Z/2 and Z/3
+    # not covers: two sections of length 2, a reversed pair, an equal pair,
+    # and <3> over <4>, which it does not contain
+    for a, b in [(3, 0), (5, 1), (0, 1), (1, 1), (4, 3)]:
+        with pytest.raises(StructureError, match="covering"):
+            lat.section_class(a, b)
 
 
 def _f2_4():

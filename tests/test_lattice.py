@@ -16,6 +16,7 @@ from modgraph.lattice import (
     is_simple_module,
     iso_count_simples,
     prime_radical,
+    section_hom_count,
     simples_isomorphic,
     whole_submodule,
 )
@@ -24,6 +25,7 @@ from modgraph.rings import (
     ring_gf,
     ring_matrix,
     ring_poly_quot,
+    ring_product,
     ring_triangular,
     ring_zmod,
 )
@@ -119,7 +121,7 @@ def test_z12_lattice_contents(z12_module):
 
 def test_meet_join_examples(z12_module):
     lat = enumerate_submodules(z12_module)
-    s3, s4, s6 = (lat.position(submodule_generated(z12_module, [g])) for g in (3, 4, 6))
+    s3, s4, s6 = (lat.subs.index(submodule_generated(z12_module, [g])) for g in (3, 4, 6))
     assert lat.subs[lat.meet_index(s3, s4)].members == (0,)
     assert lat.subs[lat.join_index(s4, s6)].members == (0, 2, 4, 6, 8, 10)
     assert lat.meet_index(s3, s3) == s3
@@ -362,30 +364,67 @@ def test_iso_count_requires_simple_input():
 
 
 def test_find_double_simple_image(f2_squared, z2_x_z4):
-    witness = find_double_simple_image(enumerate_submodules(f2_squared))
-    assert witness is not None and witness["kernel"].size == 1
-    # the pair is two ambient submodules A != B, each with A/K simple
+    lat = enumerate_submodules(f2_squared)
+    witness = find_double_simple_image(lat)
+    assert witness is not None and witness["kernel"] == lat.zero_index
+    # the pair is two member indices A != B, each covering K
     a, b = witness["pair"]
-    assert a.module is b.module is f2_squared and a != b
-    assert a.size == b.size == 2 and quotient(f2_squared, witness["kernel"])[0].size == 4
+    assert a < b and lat.covers_in(lat.zero_index, lat.full_index)[:2] == [a, b]
+    assert lat.subs[a].size == lat.subs[b].size == 2
+    assert quotient(f2_squared, lat.subs[witness["kernel"]])[0].size == 4
     z8 = regular_module(ring_zmod(8))
     assert find_double_simple_image(enumerate_submodules(z8)) is None
-    witness2 = find_double_simple_image(enumerate_submodules(z2_x_z4))
+    lat2 = enumerate_submodules(z2_x_z4)
+    witness2 = find_double_simple_image(lat2)
     # the module itself already contains an isomorphic direct pair, so the
     # first kernel in canonical order is zero
-    assert witness2 is not None and witness2["kernel"].size == 1
+    assert witness2 is not None and witness2["kernel"] == lat2.zero_index
+    # Q1 + Q2 + Q2 + Q1 for the two simples of F2 x F2: its atoms come in the
+    # classes A B B B A A, and the pair is the first atom with a later copy,
+    # then its first later copy, not the first repeat of a class
+    reg = regular_module(ring_product(ring_gf(2, 1), ring_gf(2, 1)))
+    q1, q2 = (quotient(reg, submodule_generated(reg, [e]))[0] for e in (2, 3))
+    lat3 = enumerate_submodules(direct_sum(direct_sum(q1, q2), direct_sum(q2, q1)))
+    atoms = lat3.atom_indices()
+    classes = [lat3.section_class(a, lat3.zero_index) for a in atoms]
+    assert [c == classes[0] for c in classes] == [True, False, False, False, True, True]
+    assert len(set(classes)) == 2
+    assert find_double_simple_image(lat3) == {"kernel": lat3.zero_index, "pair": (atoms[0], atoms[4])}
+
+
+def _double_simple_image_by_hom_counts(lat):
+    """The first kernel K and the first pair of covers A < B of K, in
+    canonical order, with #Hom(A/K, B/K) > 1."""
+    subs = lat.subs
+    for k in range(len(lat)):
+        covers = lat.covers_in(k, lat.full_index)
+        for i, a in enumerate(covers):
+            for b in covers[i + 1:]:
+                if section_hom_count(subs[a], subs[k], subs[b], subs[k]) > 1:
+                    return {"kernel": k, "pair": (a, b)}
+    return None
+
+
+def test_double_simple_image_matches_pairwise_hom_counts(named_contexts, family16_contexts):
+    ctxs, found = [*named_contexts, *family16_contexts], 0
+    for ctx in ctxs:
+        got = find_double_simple_image(ctx.lattice)
+        assert got == _double_simple_image_by_hom_counts(ctx.lattice), ctx.instance_id
+        found += got is not None
+    assert 10 < found < len(ctxs)
 
 
 def _radical(ring):
-    return prime_radical(enumerate_submodules(regular_module(ring)))
+    lat = enumerate_submodules(regular_module(ring))
+    return lat.subs[prime_radical(lat)]
 
 
 def test_prime_radical_examples(triangular_f4):
     assert _radical(ring_zmod(12)).members == (0, 6)
     assert _radical(ring_matrix(2, 1, 2)).members == (0,)
     assert _radical(ring_poly_quot(2, ["x^2"], ["x"])).size == 2
-    rad = prime_radical(enumerate_submodules(triangular_f4))
-    assert rad.size == 4  # the strictly-upper-triangular part
+    lat = enumerate_submodules(triangular_f4)
+    assert lat.subs[prime_radical(lat)].size == 4  # the strictly-upper-triangular part
 
 
 def test_prime_radical_needs_the_regular_module(f2_squared):

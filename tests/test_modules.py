@@ -79,7 +79,7 @@ def test_submodule_gens_regenerate_members():
     reg = regular_module(ring_zmod(36))
     sub = submodule_generated(reg, [6, 9])
     lat = enumerate_submodules(reg)
-    regen = submodule_generated(reg, list(lat.gens(lat.position(sub))))
+    regen = submodule_generated(reg, list(lat.gens(lat.subs.index(sub))))
     assert regen.members == sub.members
 
 

@@ -5,13 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR, SRC_DIR = ROOT / "bench", ROOT / "src"
 
 
 def test_bench_tracer_installs_on_the_package():
     code = "\n".join([
         "import sys",
-        f"sys.path.insert(0, {str(BENCH_DIR)!r})",
+        f"sys.path[:0] = [{str(SRC_DIR)!r}, {str(BENCH_DIR)!r}]",
         "from tracing import Tracer, install",
         "install(Tracer())",
     ])
