@@ -511,7 +511,7 @@ def check_triangle_free(ctx: InstanceContext) -> CheckReport:
             expected_ok = g.is_star_graph() and g.n == pair_iso + 3
         if not expected_ok:
             return CheckReport(cid, ctx.instance_id, FAIL, f"shape {shape.tag} unexpected for {case}", details)
-    if ctx.is_regular_instance():
+    if ctx.module.is_regular:
         ring_case, ring_details = _ring_trichotomy(ctx)
         details["ring_case"] = ring_case
         details.update({f"ring_{k}": v for k, v in ring_details.items()})

@@ -38,9 +38,14 @@ def _caps_of(args) -> Caps:
     )
 
 
-def cmd_lattice(args) -> int:
+def _context_of(args) -> zoo.InstanceContext:
+    """The instance of the command's spec file, under its caps."""
     caps = _caps_of(args)
-    ctx = next(zoo.contexts([load_spec_file(args.spec)], caps))
+    return next(zoo.contexts([load_spec_file(args.spec)], caps))
+
+
+def cmd_lattice(args) -> int:
+    ctx = _context_of(args)
     lat = ctx.lattice
     out = [f"# {ctx.instance_id}: {len(lat)} submodules"]
     for i, sub in enumerate(lat.subs):
@@ -50,16 +55,13 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    caps = _caps_of(args)
-    ctx = next(zoo.contexts([load_spec_file(args.spec)], caps))
-    sys.stdout.write(ctx.graph.export(args.format))
+    sys.stdout.write(_context_of(args).graph.export(args.format))
     return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
-    caps = _caps_of(args)
-    ctx = next(zoo.contexts([load_spec_file(args.spec)], caps))
-    g, lat = ctx.graph, ctx.lattice
+    ctx = _context_of(args)
+    g, lat, caps = ctx.graph, ctx.lattice, ctx.caps
     omega, _ = g.clique_number(caps)
     chi, _ = g.chromatic(caps)
     omega_c, _ = g.complement_clique_number(caps)

@@ -34,7 +34,8 @@ The socle facts the checks share live here too: `socle_pair` and the atom
 hom counts `hom_count(a, b)`, read off the atoms the order kernel knows, so
 no atom is proved simple again.  `section_class(a, b)` is the annihilator of
 a simple section N_a/N_b, and sections are isomorphic exactly when their
-classes are equal, so checks compare classes and count no homs.
+classes are equal, so checks compare classes.  |End(S)| is read off the
+class of S too, by its size and the size of S, so no hom is counted.
 
 Also here: Goldie dimension, composition length, the double-simple-image
 search, and, on the lattice of R_R, ideal products and the prime radical of
@@ -87,7 +88,6 @@ class Lattice:
         self.zero_index = self._pos[1]
         self.full_index = self._pos[(1 << module.size) - 1]
         self._classes: dict[tuple[int, int], int] = {}
-        self._ends: dict[int, int] = {}
         self._downs: dict[int, int] = {}
 
     def __len__(self) -> int:
@@ -291,16 +291,20 @@ class Lattice:
     def hom_count(self, a: int, b: int) -> int:
         """#Hom(S_a, S_b) for atoms a and b: |End(S_a)| when they are
         isomorphic, that is when their classes are equal, and 1 otherwise.
-        |End(S)| is counted once per class."""
+        |End(S)| is read off the class P = ann(S): R/P is M_n(D) for a finite
+        division ring D (Wedderburn-Artin; Lam, GTM 131) and S is D^n, so
+        |R/P| = |S|^n and |End(S)| = |D| is the n-th root of |S|."""
         if not (self.is_simple(a) and self.is_simple(b)):
             raise StructureError("hom_count needs atom indices")
         cls = self.section_class(a, self.zero_index)
         if cls != self.section_class(b, self.zero_index):
             return 1
-        if cls not in self._ends:
-            s, z = self.subs[a], self.subs[self.zero_index]
-            self._ends[cls] = section_hom_count(s, z, s, z)
-        return self._ends[cls]
+        simple, primitive = self.subs[a].size, self.module.ring.size // cls.bit_count()
+        for n in range(1, primitive.bit_length()):
+            d = round(simple ** (1 / n))
+            if simple**n == primitive and d**n == simple:
+                return d
+        raise StructureError(f"|R/ann(S)| = {primitive} is not |S|^n with |S| = {simple} an n-th power")
 
     def chain_lengths(self) -> list[int]:
         """Longest-chain length from 0 up to each submodule."""
@@ -442,8 +446,10 @@ def section_hom_count(a: Submodule, b: Submodule, c: Submodule, d: Submodule) ->
     A/B is generated by any x in A outside B, so a hom is fixed by the image
     t + D of x + B, and the valid images are exactly the cosets of the
     t in C with ann(x + B) t in D, where ann(x + B) = {r : r x in B}.
-    `Lattice.hom_count` counts |End(S)| with it once per class of atoms, and
-    it is the tests' reference for `Lattice.section_class`.
+    In the package only `hom_count_simples` calls it, and only the
+    simple-module helpers below, which `bench/tracing.py` wraps, call that.
+    It is the tests' reference for `Lattice.hom_count` and
+    `Lattice.section_class`.
     """
     src, tgt = a.module, c.module
     if src.ring is not tgt.ring:

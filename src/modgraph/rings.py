@@ -276,10 +276,15 @@ def parse_monomial(text: str, variables: list[str]) -> tuple[int, ...]:
     for factor in text.replace(" ", "").split("*"):
         if not factor:
             raise ConstructionError(f"empty factor in monomial {text!r}")
-        name, _, power = factor.partition("^")
+        name, caret, power = factor.partition("^")
         if name not in variables:
             raise ConstructionError(f"unknown variable {name!r} in monomial {text!r}")
-        e = int(power) if power else 1
+        if caret and not (power.isascii() and power.isdigit()):
+            raise ConstructionError(f"exponent {power!r} in monomial {text!r} is not a decimal number")
+        try:
+            e = int(power) if caret else 1
+        except ValueError:  # more digits than the interpreter converts
+            raise ConstructionError(f"exponent of {name!r} has {len(power)} digits, too many to read") from None
         if e < 1:
             raise ConstructionError(f"exponent must be positive in {text!r}")
         expo[variables.index(name)] += e
@@ -309,6 +314,8 @@ def ring_poly_quot(
         raise ConstructionError(f"coefficient characteristic {p} is not prime")
     if variables is None:
         variables = sorted({f for rel in relations for f in rel.replace(" ", "").split("*") for f in [f.partition("^")[0]]})
+    if len(set(variables)) != len(variables):
+        raise ConstructionError(f"variables {variables} are not distinct")
     gens = [parse_monomial(r, variables) for r in relations]
     nv = len(variables)
     # finite quotient iff every variable is nilpotent, i.e. some relation is a

@@ -8,45 +8,84 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from functools import cached_property
+from typing import NamedTuple
 
 from .caps import Caps
 from .errors import SpecError
-from .modules import (
-    FiniteModule,
-    custom_module,
-    direct_sum,
-    quotient,
-    regular_module,
-    submodule_generated,
-)
+from .modules import FiniteModule, custom_module, direct_sum, quotient, regular_module, submodule_generated
 from .rings import (
-    FiniteRing,
-    ring_from_tables,
-    ring_gf,
-    ring_matrix,
-    ring_poly_quot,
-    ring_product,
-    ring_triangular,
-    ring_zmod,
+    FiniteRing, ring_from_tables, ring_gf, ring_matrix, ring_poly_quot, ring_product, ring_triangular, ring_zmod,
 )
 
 SPEC_VERSION = 1
 
-_RING_FIELDS = {
-    "gf": {"kind", "p", "k"},
-    "zmod": {"kind", "n"},
-    "matrix": {"kind", "p", "k", "m"},
-    "triangular": {"kind", "p", "k", "subfield_degree"},
-    "product": {"kind", "left", "right"},
-    "poly_quot": {"kind", "p", "relations", "variables"},
-    "table": {"kind", "add", "mul"},
+
+def _build_quotient(spec: dict, ring: FiniteRing, caps: Caps) -> FiniteModule:
+    base = build_module(spec["of"], ring, caps)
+    outside = [g for g in spec["kernel_gens"] if g >= base.size]
+    if outside:
+        raise SpecError(f"kernel_gens {outside} lie outside the module of size {base.size}")
+    q, _ = quotient(base, submodule_generated(base, spec["kernel_gens"]), caps)
+    return q
+
+
+class _Kind(NamedTuple):
+    """A ring or module kind: the fields it needs besides "kind", its builder,
+    its part of the instance id, and the fields it may omit.  Products, sums
+    and quotients build and name their parts through the module-level
+    `build_ring`, `build_module` and `describe_*` functions."""
+
+    fields: set[str]
+    build: Callable
+    name: Callable[[dict], str]
+    optional: set[str] = set()
+
+
+RING_KINDS = {
+    "gf": _Kind({"p", "k"}, lambda s, caps: ring_gf(s["p"], s["k"], caps), lambda s: f"gf({s['p']},{s['k']})"),
+    "zmod": _Kind({"n"}, lambda s, caps: ring_zmod(s["n"], caps), lambda s: f"zmod({s['n']})"),
+    "matrix": _Kind(
+        {"p", "k", "m"}, lambda s, caps: ring_matrix(s["p"], s["k"], s["m"], caps),
+        lambda s: f"M{s['m']}(F{power_name(s['p'], s['k'])})",
+    ),
+    "triangular": _Kind(
+        {"p", "k", "subfield_degree"},
+        lambda s, caps: ring_triangular(s["p"], s["k"], s["subfield_degree"], caps),
+        lambda s: f"triangular(F{power_name(s['p'], s['k'])},F{power_name(s['p'], s['subfield_degree'])})",
+    ),
+    "product": _Kind(
+        {"left", "right"},
+        lambda s, caps: ring_product(build_ring(s["left"], caps), build_ring(s["right"], caps), caps),
+        lambda s: f"product({describe_ring_spec(s['left'])},{describe_ring_spec(s['right'])})",
+    ),
+    "poly_quot": _Kind(
+        {"p", "relations"}, lambda s, caps: ring_poly_quot(s["p"], s["relations"], s.get("variables"), caps),
+        lambda s: f"polyquot(F{s['p']},{','.join(s['relations'])})", optional={"variables"},
+    ),
+    "table": _Kind(
+        {"add", "mul"}, lambda s, caps: ring_from_tables(s["add"], s["mul"], caps=caps),
+        lambda s: f"table#{spec_hash(s)}",
+    ),
 }
-_MODULE_FIELDS = {
-    "regular": {"kind"},
-    "direct_sum": {"kind", "left", "right"},
-    "quotient": {"kind", "of", "kernel_gens"},
-    "custom": {"kind", "add", "act"},
+MODULE_KINDS = {
+    "regular": _Kind(set(), lambda s, ring, caps: regular_module(ring, caps), lambda s: "regular"),
+    "direct_sum": _Kind(
+        {"left", "right"},
+        lambda s, ring, caps: direct_sum(
+            build_module(s["left"], ring, caps), build_module(s["right"], ring, caps), caps
+        ),
+        lambda s: f"sum({describe_module_spec(s['left'])},{describe_module_spec(s['right'])})",
+    ),
+    "quotient": _Kind(
+        {"of", "kernel_gens"}, _build_quotient,
+        lambda s: f"quot({describe_module_spec(s['of'])};{','.join(map(str, s['kernel_gens']))})",
+    ),
+    "custom": _Kind(
+        {"add", "act"}, lambda s, ring, caps: custom_module(ring, s["add"], s["act"], caps=caps),
+        lambda s: f"custom#{spec_hash(s)}",
+    ),
 }
 
 
@@ -98,7 +137,8 @@ def _check_kind(spec, kinds: dict, what: str) -> None:
     kind = spec["kind"]
     if not isinstance(kind, str) or kind not in kinds:
         raise SpecError(f"unknown {what} kind {kind!r}")
-    _check_fields(spec, kinds[kind], f"{what} kind {kind}", kinds[kind] - {"variables"})
+    required = kinds[kind].fields | {"kind"}
+    _check_fields(spec, required | kinds[kind].optional, f"{what} kind {kind}", required)
     for key in sorted(spec.keys() & {"left", "right", "of"}):
         _check_kind(spec[key], kinds, what)
 
@@ -108,8 +148,8 @@ def normalize_spec(spec: dict) -> dict:
     version = spec.get("version", SPEC_VERSION)
     if version != SPEC_VERSION:
         raise SpecError(f"unsupported spec version {version}")
-    _check_kind(spec["ring"], _RING_FIELDS, "ring")
-    _check_kind(spec["module"], _MODULE_FIELDS, "module")
+    _check_kind(spec["ring"], RING_KINDS, "ring")
+    _check_kind(spec["module"], MODULE_KINDS, "module")
     out = {"version": SPEC_VERSION, "ring": spec["ring"], "module": spec["module"]}
     return json.loads(dumps_spec(out))
 
@@ -135,45 +175,11 @@ def load_spec_file(path: str) -> dict:
 
 
 def build_ring(spec: dict, caps: Caps) -> FiniteRing:
-    kind = spec["kind"]
-    if kind == "gf":
-        return ring_gf(spec["p"], spec["k"], caps)
-    if kind == "zmod":
-        return ring_zmod(spec["n"], caps)
-    if kind == "matrix":
-        return ring_matrix(spec["p"], spec["k"], spec["m"], caps)
-    if kind == "triangular":
-        return ring_triangular(spec["p"], spec["k"], spec["subfield_degree"], caps)
-    if kind == "product":
-        return ring_product(build_ring(spec["left"], caps), build_ring(spec["right"], caps), caps)
-    if kind == "poly_quot":
-        return ring_poly_quot(
-            spec["p"], spec["relations"], spec.get("variables"), caps
-        )
-    if kind == "table":
-        return ring_from_tables(spec["add"], spec["mul"], caps=caps)
-    raise SpecError(f"unknown ring kind {kind!r}")
+    return RING_KINDS[spec["kind"]].build(spec, caps)
 
 
 def build_module(spec: dict, ring: FiniteRing, caps: Caps) -> FiniteModule:
-    kind = spec["kind"]
-    if kind == "regular":
-        return regular_module(ring, caps)
-    if kind == "direct_sum":
-        return direct_sum(
-            build_module(spec["left"], ring, caps), build_module(spec["right"], ring, caps), caps
-        )
-    if kind == "quotient":
-        base = build_module(spec["of"], ring, caps)
-        outside = [g for g in spec["kernel_gens"] if g >= base.size]
-        if outside:
-            raise SpecError(f"kernel_gens {outside} lie outside the module of size {base.size}")
-        kernel = submodule_generated(base, spec["kernel_gens"])
-        q, _ = quotient(base, kernel, caps)
-        return q
-    if kind == "custom":
-        return custom_module(ring, spec["add"], spec["act"], caps=caps)
-    raise SpecError(f"unknown module kind {kind!r}")
+    return MODULE_KINDS[spec["kind"]].build(spec, ring, caps)
 
 
 NAMED_POWER_BITS = 64  # 2**64 is past the size of any ring whose tables fit in memory
@@ -192,47 +198,17 @@ def power_name(p: int, k: int) -> str:
 
 
 def describe_ring_spec(spec: dict) -> str:
-    kind = spec["kind"]
-    if kind == "gf":
-        return f"gf({spec['p']},{spec['k']})"
-    if kind == "zmod":
-        return f"zmod({spec['n']})"
-    if kind == "matrix":
-        return f"M{spec['m']}(F{power_name(spec['p'], spec['k'])})"
-    if kind == "triangular":
-        p = spec["p"]
-        return f"triangular(F{power_name(p, spec['k'])},F{power_name(p, spec['subfield_degree'])})"
-    if kind == "product":
-        return f"product({describe_ring_spec(spec['left'])},{describe_ring_spec(spec['right'])})"
-    if kind == "poly_quot":
-        return f"polyquot(F{spec['p']},{','.join(spec['relations'])})"
-    if kind == "table":
-        return f"table#{spec_hash(spec)}"
-    raise SpecError(f"unknown ring kind {kind!r}")
+    return RING_KINDS[spec["kind"]].name(spec)
 
 
 def describe_module_spec(spec: dict) -> str:
-    kind = spec["kind"]
-    if kind == "regular":
-        return "regular"
-    if kind == "direct_sum":
-        return f"sum({describe_module_spec(spec['left'])},{describe_module_spec(spec['right'])})"
-    if kind == "quotient":
-        gens = ",".join(str(g) for g in spec["kernel_gens"])
-        return f"quot({describe_module_spec(spec['of'])};{gens})"
-    if kind == "custom":
-        return f"custom#{spec_hash(spec)}"
-    raise SpecError(f"unknown module kind {kind!r}")
+    return MODULE_KINDS[spec["kind"]].name(spec)
 
 
 def instance_name(spec: dict) -> str:
     ring = describe_ring_spec(spec["ring"])
     module = spec["module"]
-    if (
-        module["kind"] == "direct_sum"
-        and module["left"] == {"kind": "regular"}
-        and module["right"] == {"kind": "regular"}
-    ):
+    if module == {"kind": "direct_sum", "left": {"kind": "regular"}, "right": {"kind": "regular"}}:
         return f"{ring}^2/selfsum"
     return f"{ring}/{describe_module_spec(module)}"
 

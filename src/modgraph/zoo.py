@@ -166,9 +166,6 @@ class InstanceContext:
             self._graph = build_graph(self.lattice)
         return self._graph
 
-    def is_regular_instance(self) -> bool:
-        return self.instance.spec["module"] == REGULAR
-
 
 def contexts(specs, caps: Caps | None = None, predicate=None) -> Iterator[InstanceContext]:
     """One context per spec, in order, each instance built when it is reached.

@@ -24,7 +24,8 @@ from modgraph.modules import (
     submodule_as_module,
 )
 from modgraph.rings import ring_gf, ring_zmod
-from modgraph.zoo import family
+from modgraph.specs import make_spec
+from modgraph.zoo import contexts, family, family_specs
 
 from .oracles import (
     brute_covers,
@@ -119,6 +120,23 @@ def test_section_classes_are_isomorphism_classes(named_contexts):
                     checked += 1
                     isomorphic += iso
     assert checked > 80000 and 0 < isomorphic < checked
+
+
+def test_end_sizes_read_off_classes_match_hom_counts(named_contexts):
+    # |End(S)| from |S| and |R/ann(S)| against a hom count, once per class of
+    # atoms, on the zoo, the census and R+R over the size-32 rings
+    pair = {"kind": "direct_sum", "left": {"kind": "regular"}, "right": {"kind": "regular"}}
+    sums = contexts(make_spec(spec["ring"], pair) for spec in family_specs(32))
+    classes = 0
+    for ctx in [*named_contexts, *family(64), *sums]:
+        lat = ctx.lattice
+        zero = lat.subs[lat.zero_index]
+        firsts = {lat.section_class(a, lat.zero_index): a for a in reversed(lat.atom_indices())}
+        for a in firsts.values():
+            s = lat.subs[a]
+            assert lat.hom_count(a, a) == section_hom_count(s, zero, s, zero), (ctx.instance_id, a)
+        classes += len(firsts)
+    assert classes > 800
 
 
 def test_section_class_needs_a_cover(z12_module):

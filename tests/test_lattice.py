@@ -436,7 +436,7 @@ def test_ideal_products_match_the_oracle(named_contexts, family16_contexts):
     # the join of the cyclic left ideals R(xy) is the additive closure of the xy
     checked = 0
     for ctx in [*named_contexts, *family16_contexts]:
-        if not ctx.is_regular_instance():
+        if not ctx.module.is_regular:
             continue
         lat, add, mul = ctx.lattice, ctx.ring.add.tolist(), ctx.ring.mul.tolist()
         for a, b in product(range(len(lat)), repeat=2):

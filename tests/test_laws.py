@@ -38,7 +38,7 @@ def rings(named_contexts, family16_contexts):
 
 @pytest.fixture(scope="module")
 def non_regular_modules(named_contexts):
-    return [ctx.module for ctx in named_contexts if not ctx.is_regular_instance()]
+    return [ctx.module for ctx in named_contexts if not ctx.module.is_regular]
 
 
 def test_zoo_and_census_rings_pass_both_checks(rings):

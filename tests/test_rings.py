@@ -132,8 +132,9 @@ def test_parse_monomial():
     assert parse_monomial("x*y", ["x", "y"]) == (1, 1)
     with pytest.raises(ConstructionError):
         parse_monomial("z", ["x", "y"])
-    with pytest.raises(ConstructionError):
-        parse_monomial("x^0", ["x"])
+    for text in ["x^0", "x^", "x^a", "x^1.5", "x^+1", "x^1_0", "x^\u0663"]:  # the last an Arabic-Indic 3
+        with pytest.raises(ConstructionError):
+            parse_monomial(text, ["x"])
 
 
 def test_size_cap():

@@ -17,6 +17,7 @@ import tempfile
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modgraph import specs
 from modgraph.cli import main
 from modgraph.rings import ring_zmod
 
@@ -25,6 +26,7 @@ CAP_FLAGS = ["--max-ring-size", "64", "--max-submodules", "64", "--max-exact-ver
 RING_KINDS = ["gf", "zmod", "matrix", "triangular", "product", "poly_quot", "table"]
 MODULE_KINDS = ["regular", "direct_sum", "quotient", "custom"]
 TABLE_RINGS = [ring_zmod(n) for n in (2, 3, 4)]
+
 
 BASE_RINGS = st.one_of(
     st.builds(lambda n: {"kind": "zmod", "n": n}, st.integers(2, 12)),
@@ -108,3 +110,9 @@ def test_cli_answers_every_near_valid_spec_with_an_exit_code(spec, mutations, da
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main([command, path, *CAP_FLAGS])
             assert code in (0, 2, 3), (command, spec, code)
+
+
+def test_the_fuzz_draws_every_kind():
+    # a kind added to the schema must be added to the strategies above too
+    assert RING_KINDS == list(specs.RING_KINDS)
+    assert MODULE_KINDS == list(specs.MODULE_KINDS)

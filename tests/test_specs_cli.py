@@ -179,6 +179,11 @@ BAD_SPECS = {
     "relations-not-list": {"kind": "poly_quot", "p": 2, "relations": 5},
     "table-ragged": {"kind": "table", "add": [[0, 1], [1]], "mul": [[0, 0], [0, 1]]},
     "table-entry-past-carrier": {"kind": "table", "add": [[0, 1], [1, 65536]], "mul": [[0, 0], [0, 1]]},
+    "exponent-not-a-number": {"kind": "poly_quot", "p": 2, "relations": ["x^a"], "variables": ["x"]},
+    "exponent-not-an-integer": {"kind": "poly_quot", "p": 2, "relations": ["x^1.5"], "variables": ["x"]},
+    "exponent-missing": {"kind": "poly_quot", "p": 2, "relations": ["x^"], "variables": ["x"]},
+    "exponent-past-digit-limit": {"kind": "poly_quot", "p": 2, "relations": ["x^" + "9" * 5000], "variables": ["x"]},
+    "variables-repeated": {"kind": "poly_quot", "p": 2, "relations": ["x^2"], "variables": ["x", "x"]},
 }
 
 
