@@ -8,7 +8,7 @@ named instances and exhaustive instance families.
 """
 
 from .caps import Caps, caps_from_env
-from .checks import ALL_CHECKS, CheckReport, run_suite
+from .checks import ALL_CHECKS, CheckReport, Verdict, run_suite
 from .errors import (
     CapExceeded,
     ConstructionError,
@@ -61,6 +61,6 @@ from .rings import (
 )
 from .solvers import chromatic_number, max_clique, max_cliques
 from .specs import Instance, build_instance, load_spec_file, make_spec
-from .zoo import InstanceContext, contexts, family
+from .zoo import InstanceContext, contexts
 
 __version__ = "0.1.0"

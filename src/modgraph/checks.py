@@ -1,9 +1,12 @@
 """Executable checks for the finitely-instantiable classification statements.
 
 One function per statement family; each takes a per-instance context and
-returns a CheckReport with status PASS, FAIL (with a replayable witness),
+returns a Verdict with status PASS, FAIL (with a replayable witness),
 VACUOUS (hypotheses unmet), or APPLICABILITY-FAILED (a structural
 construction did not apply even though the statement itself verified).
+A check names neither itself nor the instance: run_suite stamps each verdict
+with the check id it is registered under in ALL_CHECKS and the instance id,
+and turns a cap hit into a SKIPPED verdict.
 
 Statements whose hypotheses demand infinite cardinalities are checked at the
 level of their finite combinatorial content; pure-infinitude clauses are
@@ -16,9 +19,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .caps import Caps
-from .errors import CapExceeded
+from .errors import CapExceeded, SpecError
 from .graphs import (
     ApplicabilityFailure,
     IntersectionGraph,
@@ -35,6 +39,14 @@ FAIL = "FAIL"
 VACUOUS = "VACUOUS"
 APPLICABILITY_FAILED = "APPLICABILITY-FAILED"
 SKIPPED = "SKIPPED"
+
+
+class Verdict(NamedTuple):
+    """What a check found on one instance; details None stands for no details."""
+
+    status: str
+    witness: str | None = None
+    details: dict | None = None
 
 
 @dataclass
@@ -89,11 +101,11 @@ def _small_degree_maximals(g: IntersectionGraph, lat: Lattice) -> list[int]:
 # -- C1: order of the graph of a direct pair of simples -------------------------
 
 
-def check_pair_count(ctx: InstanceContext) -> CheckReport:
+def check_pair_count(ctx: InstanceContext) -> Verdict:
     lat = ctx.lattice
     case, iso = _module_case(lat)
     if case != "semisimple-pair":
-        return CheckReport("C1-pair-count", ctx.instance_id, VACUOUS)
+        return Verdict(VACUOUS)
     pair = lat.socle_pair
     alpha = ctx.graph.n
     details = {"iso_count": iso, "alpha": alpha}
@@ -107,17 +119,16 @@ def check_pair_count(ctx: InstanceContext) -> CheckReport:
         details["whole_module_end_plus_one"] = ends**4 + 1
     status = PASS if ok else FAIL
     witness = None if ok else f"alpha={alpha}, |Iso|={iso}"
-    return CheckReport("C1-pair-count", ctx.instance_id, status, witness, details)
+    return Verdict(status, witness, details)
 
 
 # -- C2: degree-0 and degree-1 classification ----------------------------------
 
 
-def check_low_degree(ctx: InstanceContext) -> CheckReport:
+def check_low_degree(ctx: InstanceContext) -> Verdict:
     g, lat = ctx.graph, ctx.lattice
-    cid = "C2-low-degree"
     if g.n == 0:
-        return CheckReport(cid, ctx.instance_id, VACUOUS)
+        return Verdict(VACUOUS)
     details: dict = {}
 
     deg0 = {v for v in range(g.n) if g.degree(v) == 0}
@@ -127,10 +138,7 @@ def check_low_degree(ctx: InstanceContext) -> CheckReport:
     }
     if deg0 != pred0:
         bad = sorted(deg0 ^ pred0)[0]
-        return CheckReport(
-            cid, ctx.instance_id, FAIL, f"degree-0 dichotomy fails at {g.vertex_label(bad)}",
-            {"degree": g.degree(bad)},
-        )
+        return Verdict(FAIL, f"degree-0 dichotomy fails at {g.vertex_label(bad)}", {"degree": g.degree(bad)})
     # per-vertex degree-1 dichotomy: the unique neighbour is comparable; an
     # inner neighbour forces the two-vertex graph; an outer one forces N simple
     deg1 = [v for v in range(g.n) if g.degree(v) == 1]
@@ -138,20 +146,11 @@ def check_low_degree(ctx: InstanceContext) -> CheckReport:
         u = g.adj[v].bit_length() - 1
         inner, outer = lat.leq(u + 1, v + 1), lat.leq(v + 1, u + 1)
         if not (inner or outer):
-            return CheckReport(
-                cid, ctx.instance_id, FAIL,
-                f"unique neighbour of {g.vertex_label(v)} is not comparable",
-            )
+            return Verdict(FAIL, f"unique neighbour of {g.vertex_label(v)} is not comparable")
         if inner and g.n != 2:
-            return CheckReport(
-                cid, ctx.instance_id, FAIL,
-                f"inner unique neighbour at {g.vertex_label(v)} but more than two vertices",
-            )
+            return Verdict(FAIL, f"inner unique neighbour at {g.vertex_label(v)} but more than two vertices")
         if outer and not g.vertex_is_simple(v):
-            return CheckReport(
-                cid, ctx.instance_id, FAIL,
-                f"degree-1 vertex {g.vertex_label(v)} below its neighbour is not simple",
-            )
+            return Verdict(FAIL, f"degree-1 vertex {g.vertex_label(v)} below its neighbour is not simple")
     # stars are the chains of length 3 and the socle pairs that are the only
     # maximal submodule
     star = g.is_star_graph()
@@ -160,51 +159,46 @@ def check_low_degree(ctx: InstanceContext) -> CheckReport:
     predicted = iso + 3 if case == "socle-maximal" else 2
     details.update({"has_degree_1": bool(deg1), "star": star})
     if star != structure:
-        return CheckReport(cid, ctx.instance_id, FAIL, "star classification mismatch", details)
+        return Verdict(FAIL, "star classification mismatch", details)
     if star:
         details["predicted_order"] = predicted
         if not deg1:
-            return CheckReport(cid, ctx.instance_id, FAIL, "star graph without degree-1 vertex", details)
+            return Verdict(FAIL, "star graph without degree-1 vertex", details)
         if g.n != predicted:
-            return CheckReport(
-                cid, ctx.instance_id, FAIL,
-                f"star order {g.n} != predicted {predicted}", details,
-            )
+            return Verdict(FAIL, f"star order {g.n} != predicted {predicted}", details)
     elif deg1:
         # a degree-1 vertex without star shape: possible at finite scale
         # (its neighbour need not be the unique maximal submodule); recorded,
         # not a failure of the per-vertex dichotomy
         details["degree_one_without_star"] = [g.vertex_label(v) for v in deg1]
-    return CheckReport(cid, ctx.instance_id, PASS, None, details)
+    return Verdict(PASS, None, details)
 
 
 # -- C3: length additivity over every nontrivial submodule ----------------------
 
 
-def check_length_additivity(ctx: InstanceContext) -> CheckReport:
+def check_length_additivity(ctx: InstanceContext) -> Verdict:
     lat = ctx.lattice
-    cid = "C3-length-additivity"
     if not lat.nontrivial_indices():
-        return CheckReport(cid, ctx.instance_id, VACUOUS)
+        return Verdict(VACUOUS)
     # the kernel reads covers off its heights l(N), presuming Jordan-Dedekind;
     # this tests its consequence l(N) + l(M/N) = l(M), l(M/N) read off containment
     total = lat.composition_length()
     heights, chain_up = lat.longest_chains
     for i in lat.nontrivial_indices():
         if heights[i] + chain_up[i] != total:
-            return CheckReport(
-                cid, ctx.instance_id, FAIL,
+            return Verdict(
+                FAIL,
                 f"l(M)={total} != kernel height {heights[i]} + l(M/N)={chain_up[i]} at N={lat.describe(i)}",
             )
-    return CheckReport(cid, ctx.instance_id, PASS, None, {"length": total})
+    return Verdict(PASS, None, {"length": total})
 
 
 # -- C4: maximal submodules with degree below complement degree ------------------
 
 
-def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
+def check_small_degree_maximal(ctx: InstanceContext) -> Verdict:
     g, lat = ctx.graph, ctx.lattice
-    cid = "C4-small-degree-maximal"
     cands, degenerate = [], []
     for v in _small_degree_maximals(g, lat):
         # the statement's argument needs a second complement of T, so the
@@ -215,10 +209,7 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
         else:
             degenerate.append(g.vertex_label(v))
     if not cands:
-        return CheckReport(
-            cid, ctx.instance_id, VACUOUS,
-            None, {"degenerate_complement": degenerate} if degenerate else {},
-        )
+        return Verdict(VACUOUS, None, {"degenerate_complement": degenerate} if degenerate else None)
     details: dict = {"maximal_candidates": [g.vertex_label(v) for v in cands]}
     if degenerate:
         details["degenerate_complement"] = degenerate
@@ -228,8 +219,8 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
         item = {"deg": dt, "deg_c": dtc}
         details[g.vertex_label(v)] = item
 
-        def fail(msg: str) -> CheckReport:
-            return CheckReport(cid, ctx.instance_id, FAIL, f"T={lat.describe(t_lat)}: {msg}", details)
+        def fail(msg: str) -> Verdict:
+            return Verdict(FAIL, f"T={lat.describe(t_lat)}: {msg}", details)
 
         # (1)(i) a simple complement S
         s_lat = lat.simple_complement(t_lat)
@@ -286,27 +277,26 @@ def check_small_degree_maximal(ctx: InstanceContext) -> CheckReport:
             item["g_T_over_inner"] = g_t_over
             if not (dt == 2 * g_t == 2 * g_t_over + 2):
                 return fail(f"deg(T)={dt} but |G(T)|={g_t}, |G(T/S')|={g_t_over}")
-    return CheckReport(cid, ctx.instance_id, PASS, None, details)
+    return Verdict(PASS, None, details)
 
 
 # -- C5: shapes of the two structured ring families ------------------------------
 
 
-def check_structured_shapes(ctx: InstanceContext) -> CheckReport:
-    cid = "C5-structured-shapes"
+def check_structured_shapes(ctx: InstanceContext) -> Verdict:
     spec = ctx.instance.spec
     kind = spec["ring"]["kind"]
     if spec["module"] != {"kind": "regular"} or kind not in ("matrix", "triangular"):
-        return CheckReport(cid, ctx.instance_id, VACUOUS)
+        return Verdict(VACUOUS)
     g, lat = ctx.graph, ctx.lattice
     q = int(spec["ring"]["p"]) ** int(spec["ring"]["k"])
     details = {"q": q, "alpha": g.n}
     if kind == "matrix":
         if int(spec["ring"]["m"]) != 2:
-            return CheckReport(cid, ctx.instance_id, VACUOUS)
+            return Verdict(VACUOUS)
         ok = g.n == q + 1 and g.is_null_graph()
         witness = None if ok else f"expected null graph on {q + 1} vertices"
-        return CheckReport(cid, ctx.instance_id, PASS if ok else FAIL, witness, details)
+        return Verdict(PASS if ok else FAIL, witness, details)
     # triangular over a subfield: Soc(R) = [[D,D],[0,0]], and R acts on
     # R/Soc(R) through the corner entry c, so by the correspondence theorem
     # [Soc(R), R] is the lattice of left ideals of the corner ring
@@ -319,10 +309,7 @@ def check_structured_shapes(ctx: InstanceContext) -> CheckReport:
     small = [v for v in maximals if g.degree(v) < g.n - 1]
     details["maximal_count"] = len(maximals)
     if len(small) != 1:
-        return CheckReport(
-            cid, ctx.instance_id, FAIL,
-            f"{len(small)} non-essential maximal left ideals", details,
-        )
+        return Verdict(FAIL, f"{len(small)} non-essential maximal left ideals", details)
     t_vertex = small[0]
     dt = g.degree(t_vertex)
     details["strict_degree_gap"] = dt < g.complement_degree(t_vertex)
@@ -338,36 +325,32 @@ def check_structured_shapes(ctx: InstanceContext) -> CheckReport:
         and all(lat.join_index(v + 1, t_vertex + 1) == lat.full_index for v in zero_meets)
     )
     witness = None if ok else "triangular shape contract failed"
-    return CheckReport(cid, ctx.instance_id, PASS if ok else FAIL, witness, details)
+    return Verdict(PASS if ok else FAIL, witness, details)
 
 
 # -- C6: trichotomy and maximal cliques under a homogeneous socle pair -----------
 
 
-def check_socle_cliques(ctx: InstanceContext) -> CheckReport:
+def check_socle_cliques(ctx: InstanceContext) -> Verdict:
     """Vertices N outside the socle have simple traces N & Soc(M), equal when
     they meet, and the maximal cliques are the overlines.  Soc(N) = N & Soc(M),
     so the trace is simple exactly when N is uniform, and is then N's one atom."""
-    cid = "C6-socle-cliques"
     g, lat = ctx.graph, ctx.lattice
     structure = homogeneous_socle_pair(lat)
     if structure is None:
-        return CheckReport(cid, ctx.instance_id, VACUOUS)
+        return Verdict(VACUOUS)
     details: dict = {}
     outside = (1 << g.n) - 1 & ~g.vertices_of(lat.above(structure["socle"]))
     for v in iter_bits(outside):
         if not g.vertex_is_uniform(v):
-            return CheckReport(
-                cid, ctx.instance_id, FAIL,
-                f"socle trace of {g.vertex_label(v)} is not simple",
-            )
+            return Verdict(FAIL, f"socle trace of {g.vertex_label(v)} is not simple")
     for v in iter_bits(outside):
         (atom,) = lat.covers_in(lat.zero_index, v + 1)
         # the outside vertices u > v meeting v and not containing its atom
         other = g.adj[v] & outside & ~g.vertices_of(lat.above(atom)) & ~((2 << v) - 1)
         if other:
-            return CheckReport(
-                cid, ctx.instance_id, FAIL,
+            return Verdict(
+                FAIL,
                 f"intersecting pair with distinct socle traces: "
                 f"{g.vertex_label(v)}, {g.vertex_label((other & -other).bit_length() - 1)}",
             )
@@ -375,63 +358,54 @@ def check_socle_cliques(ctx: InstanceContext) -> CheckReport:
     want = {frozenset(g.overline(a)) for a in g.simple_vertices()}
     details["maximal_cliques"] = len(got)
     if got != want:
-        return CheckReport(
-            cid, ctx.instance_id, FAIL,
-            f"maximal cliques != containment cliques ({len(got)} vs {len(want)})",
-            details,
-        )
-    return CheckReport(cid, ctx.instance_id, PASS, None, details)
+        return Verdict(FAIL, f"maximal cliques != containment cliques ({len(got)} vs {len(want)})", details)
+    return Verdict(PASS, None, details)
 
 
 # -- C7: clique number equals chromatic number under the socle structure ----------
 
 
-def check_overline_coloring(ctx: InstanceContext) -> CheckReport:
-    cid = "C7-overline-coloring"
+def check_overline_coloring(ctx: InstanceContext) -> Verdict:
     g, lat = ctx.graph, ctx.lattice
     if homogeneous_socle_pair(lat) is None:
-        return CheckReport(cid, ctx.instance_id, VACUOUS)
+        return Verdict(VACUOUS)
     omega, _ = g.clique_number(ctx.caps)
     chi, _ = g.chromatic(ctx.caps)
     details = {"omega": omega, "chi": chi}
     if omega != chi:
-        return CheckReport(cid, ctx.instance_id, FAIL, f"omega={omega} != chi={chi}", details)
+        return Verdict(FAIL, f"omega={omega} != chi={chi}", details)
     result = color_by_overline(g)
     if isinstance(result, ApplicabilityFailure):
         details["construction"] = result.reason
-        return CheckReport(cid, ctx.instance_id, APPLICABILITY_FAILED, result.witness, details)
+        return Verdict(APPLICABILITY_FAILED, result.witness, details)
     details["construction_colors"] = result.count
     if result.count != omega:
-        return CheckReport(
-            cid, ctx.instance_id, FAIL,
-            f"construction used {result.count} colors but omega={omega}", details,
-        )
-    return CheckReport(cid, ctx.instance_id, PASS, None, details)
+        return Verdict(FAIL, f"construction used {result.count} colors but omega={omega}", details)
+    return Verdict(PASS, None, details)
 
 
 # -- C8: complement clique/chromatic equality -------------------------------------
 
 
-def check_complement_coloring(ctx: InstanceContext) -> CheckReport:
-    cid = "C8-complement-coloring"
+def check_complement_coloring(ctx: InstanceContext) -> Verdict:
     g = ctx.graph
     omega, _ = g.clique_number(ctx.caps)
     omega_c, _ = g.complement_clique_number(ctx.caps)
     if omega > omega_c:
-        return CheckReport(cid, ctx.instance_id, VACUOUS, None, {"omega": omega, "omega_c": omega_c})
+        return Verdict(VACUOUS, None, {"omega": omega, "omega_c": omega_c})
     chi_c, _ = g.complement_chromatic(ctx.caps)
     details = {"omega": omega, "omega_c": omega_c, "chi_c": chi_c}
     if omega_c != chi_c:
-        return CheckReport(cid, ctx.instance_id, FAIL, f"omega_c={omega_c} != chi_c={chi_c}", details)
+        return Verdict(FAIL, f"omega_c={omega_c} != chi_c={chi_c}", details)
     result = color_complement_by_uniform_clique(g)
     if isinstance(result, ApplicabilityFailure):
         details["construction"] = result.reason
         details["uniform_clique_size"] = len(result.extra.get("clique", ()))
-        return CheckReport(cid, ctx.instance_id, APPLICABILITY_FAILED, result.witness, details)
+        return Verdict(APPLICABILITY_FAILED, result.witness, details)
     details["construction_colors"] = result.count
     details["uniform_clique_size"] = len(result.extra["clique"])
     details["chain_bound_holds"] = result.count <= len(result.extra["clique"]) <= omega
-    return CheckReport(cid, ctx.instance_id, PASS, None, details)
+    return Verdict(PASS, None, details)
 
 
 # -- C9: triangle-free classification ----------------------------------------------
@@ -479,13 +453,12 @@ def _ring_trichotomy(ctx: InstanceContext) -> tuple[str | None, dict]:
     return None, details
 
 
-def check_triangle_free(ctx: InstanceContext) -> CheckReport:
-    cid = "C9-triangle-free"
+def check_triangle_free(ctx: InstanceContext) -> Verdict:
     g, lat = ctx.graph, ctx.lattice
     tri = g.triangle()
     labels = ", ".join(map(g.vertex_label, tri or ()))
     if tri and not all(g.adj[u] >> v & 1 for u, v in combinations(tri, 2)):
-        return CheckReport(cid, ctx.instance_id, FAIL, f"triangle scan gave a non-triangle: {labels}")
+        return Verdict(FAIL, f"triangle scan gave a non-triangle: {labels}")
     tf_scan = tri is None
     case, pair_iso = _module_case(lat)
     details: dict = {"case": case}
@@ -497,10 +470,10 @@ def check_triangle_free(ctx: InstanceContext) -> CheckReport:
             witness = "triangle-free but no structural case applies"
         else:
             witness = f"case {case} claimed but triangle exists: {labels}"
-        return CheckReport(cid, ctx.instance_id, FAIL, witness, details)
+        return Verdict(FAIL, witness, details)
     if tf_scan:
         if g.girth() != float("inf"):
-            return CheckReport(cid, ctx.instance_id, FAIL, "triangle-free but has a cycle", details)
+            return Verdict(FAIL, "triangle-free but has a cycle", details)
         shape = g.classify_shape()
         details["shape"] = shape.tag
         if case == "chain":
@@ -510,43 +483,38 @@ def check_triangle_free(ctx: InstanceContext) -> CheckReport:
         else:  # socle-maximal
             expected_ok = g.is_star_graph() and g.n == pair_iso + 3
         if not expected_ok:
-            return CheckReport(cid, ctx.instance_id, FAIL, f"shape {shape.tag} unexpected for {case}", details)
+            return Verdict(FAIL, f"shape {shape.tag} unexpected for {case}", details)
     if ctx.module.is_regular:
         ring_case, ring_details = _ring_trichotomy(ctx)
         details["ring_case"] = ring_case
         details.update({f"ring_{k}": v for k, v in ring_details.items()})
         if tf_scan != (ring_case is not None):
-            return CheckReport(
-                cid, ctx.instance_id, FAIL,
-                "ring trichotomy disagrees with triangle-freeness", details,
-            )
-    return CheckReport(cid, ctx.instance_id, PASS, None, details)
+            return Verdict(FAIL, "ring trichotomy disagrees with triangle-freeness", details)
+    return Verdict(PASS, None, details)
 
 
 # -- C10: connectivity and diameter --------------------------------------------------
 
 
-def check_connectivity(ctx: InstanceContext) -> CheckReport:
-    cid = "C10-connectivity"
+def check_connectivity(ctx: InstanceContext) -> Verdict:
     g, lat = ctx.graph, ctx.lattice
     split = _module_case(lat)[0] == "semisimple-pair"
     connected = g.is_connected()
     details = {"connected": connected, "sum_of_two_simples": split}
     if connected == split:
-        return CheckReport(cid, ctx.instance_id, FAIL, "connectivity criterion violated", details)
+        return Verdict(FAIL, "connectivity criterion violated", details)
     if connected and g.n >= 2:
         diam = g.diameter()
         details["diameter"] = diam
         if diam > 2:
-            return CheckReport(cid, ctx.instance_id, FAIL, f"diameter {diam} > 2", details)
-    return CheckReport(cid, ctx.instance_id, PASS, None, details)
+            return Verdict(FAIL, f"diameter {diam} > 2", details)
+    return Verdict(PASS, None, details)
 
 
 # -- C11: structural predicates recorded as metadata ----------------------------------
 
 
-def check_structure_report(ctx: InstanceContext) -> CheckReport:
-    cid = "C11-structure-report"
+def check_structure_report(ctx: InstanceContext) -> Verdict:
     g, lat = ctx.graph, ctx.lattice
     maximal = []
     for v in _small_degree_maximals(g, lat):
@@ -584,7 +552,7 @@ def check_structure_report(ctx: InstanceContext) -> CheckReport:
             entry.update(per_atom[s])
         per_vertex.append(entry)
     details = {"small_degree_maximal": maximal, "double_simple_image": witness, "vertices": per_vertex}
-    return CheckReport(cid, ctx.instance_id, PASS, None, details)
+    return Verdict(PASS, None, details)
 
 
 def _has_detached_section(lat: Lattice, s_idx: int) -> bool:
@@ -634,21 +602,25 @@ def run_suite(contexts, check_ids=None, caps: Caps | None = None):
     """Run the selected checks over instance contexts.
 
     Returns (reports, summary); reports are ordered by (instance, check).
-    Per-instance cap errors become SKIPPED entries rather than aborting.
-    Each context carries its own caps, so caps is not read here.
+    Each report carries the id its check is registered under in ALL_CHECKS.
+    An unknown or repeated check id raises SpecError before any instance is
+    read.  Per-instance cap errors become SKIPPED entries rather than
+    aborting.  Each context carries its own caps, so caps is not read here.
     """
     ids = list(check_ids) if check_ids else list(ALL_CHECKS)
-    for cid in ids:
-        if cid not in ALL_CHECKS:
-            raise KeyError(f"unknown check id {cid!r}")
+    for i, cid in enumerate(ids):
+        if cid not in ALL_CHECKS or cid in ids[:i]:
+            problem = "repeated" if cid in ALL_CHECKS else "unknown"
+            raise SpecError(f"{problem} check id {cid!r}; known: {', '.join(ALL_CHECKS)}")
     reports: list[CheckReport] = []
     for ctx in contexts:
         for cid in ids:
             try:
-                rep = ALL_CHECKS[cid](ctx)
+                verdict = ALL_CHECKS[cid](ctx)
             except CapExceeded as exc:
-                rep = CheckReport(cid, ctx.instance_id, SKIPPED, str(exc))
-            reports.append(rep)
+                verdict = Verdict(SKIPPED, str(exc))
+            status, witness, details = verdict
+            reports.append(CheckReport(cid, ctx.instance_id, status, witness, details or {}))
     reports.sort(key=lambda r: (r.instance_id, r.check_id))
     counts: dict[str, Counter] = {cid: Counter() for cid in ids}
     for rep in reports:

@@ -18,4 +18,5 @@ class StructureError(ModgraphError):
 
 
 class SpecError(ModgraphError):
-    """An instance spec file is malformed or uses unknown fields."""
+    """Invalid input by name or shape: a malformed instance spec, an unknown
+    field or kind, or an unknown family or unknown or repeated check id."""

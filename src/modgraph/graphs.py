@@ -286,20 +286,20 @@ class IntersectionGraph:
                     for v in range(self.n)
                 ],
                 "edges": [[i, j] for i, j in self.edges()],
-                "invariants": {
-                    "connected": self.is_connected(),
-                    "degrees": self.degrees(),
-                    "diameter": _json_inf(self.diameter()),
-                    "girth": _json_inf(self.girth()),
-                    "shape": self.classify_shape().tag,
-                },
+                "invariants": self.basic_invariants(),
             }
             return json.dumps(payload, sort_keys=True, indent=2) + "\n"
         raise ConstructionError(f"unknown export format {fmt!r}")
 
-
-def _json_inf(x):
-    return "inf" if x == INF else int(x)
+    def basic_invariants(self) -> dict:
+        """The walk invariants, JSON-ready: an infinite diameter or girth reads "inf"."""
+        walks = {"diameter": self.diameter(), "girth": self.girth()}
+        return {
+            "connected": self.is_connected(),
+            "degrees": self.degrees(),
+            **{key: "inf" if x == INF else int(x) for key, x in walks.items()},
+            "shape": self.classify_shape().tag,
+        }
 
 
 def build_graph(lattice: Lattice) -> IntersectionGraph:

@@ -121,7 +121,6 @@ class FiniteRing:
         mul: np.ndarray,
         backend_tag: str,
         labels: list[str] | None = None,
-        meta: dict | None = None,
         caps: Caps | None = None,
     ):
         caps = caps or Caps()
@@ -135,7 +134,6 @@ class FiniteRing:
         self.mul = frozen_table(mul, n)
         self.backend_tag = backend_tag
         self.labels = labels or [str(i) for i in range(n)]
-        self.meta = meta or {}
         self._verify()
 
     # -- axioms ----------------------------------------------------------
@@ -194,14 +192,14 @@ def ring_zmod(n: int, caps: Caps | None = None) -> FiniteRing:
     i = np.arange(n)
     add = (i[:, None] + i[None, :]) % n
     mul = (i[:, None] * i[None, :]) % n
-    return FiniteRing(add, mul, "zmod", [str(v) for v in range(n)], {"n": n}, caps=caps)
+    return FiniteRing(add, mul, "zmod", [str(v) for v in range(n)], caps=caps)
 
 
 def ring_gf(p: int, k: int, caps: Caps | None = None) -> FiniteRing:
     caps = caps or Caps()
     field_size(p, k, caps)
     add, mul, labels = gf_tables(p, k)
-    return FiniteRing(add, mul, "gf", labels, {"p": p, "k": k}, caps=caps)
+    return FiniteRing(add, mul, "gf", labels, caps=caps)
 
 
 def _bracketed(names: list[str], m: int) -> list[str]:
@@ -222,8 +220,7 @@ def ring_matrix(p: int, k: int, m: int, caps: Caps | None = None) -> FiniteRing:
     one_raw = sum(q ** (r * m + r) for r in range(m))
     labels = _bracketed(_bracketed(gf_labels(p, k), m), m)  # rows, then matrices
     add, mul, labels = _relabel_unity(add, mul, one_raw, labels)
-    meta = {"p": p, "k": k, "m": m, "q": q}
-    return FiniteRing(add, mul, "matrix", labels, meta, caps=caps)
+    return FiniteRing(add, mul, "matrix", labels, caps=caps)
 
 
 def ring_triangular(p: int, k: int, j: int, caps: Caps | None = None) -> FiniteRing:
@@ -246,8 +243,7 @@ def ring_triangular(p: int, k: int, j: int, caps: Caps | None = None) -> FiniteR
     one_raw = 1 + q * q * 1  # a=1, b=0, c=1
     labels = [f"[[{a},{b}],[0,{names[c]}]]" for c in image for b in names for a in names]
     add, mul, labels = _relabel_unity(add, mul, one_raw, labels)
-    meta = {"p": p, "k": k, "q": q, "subfield_degree": j, "subfield_size": p**j}
-    return FiniteRing(add, mul, "triangular", labels, meta, caps=caps)
+    return FiniteRing(add, mul, "triangular", labels, caps=caps)
 
 
 def ring_product(r1: FiniteRing, r2: FiniteRing, caps: Caps | None = None) -> FiniteRing:
@@ -263,8 +259,7 @@ def ring_product(r1: FiniteRing, r2: FiniteRing, caps: Caps | None = None) -> Fi
     one_raw = 1 * n2 + 1
     labels = [f"({a},{b})" for a in r1.labels for b in r2.labels]
     add, mul, labels = _relabel_unity(add, mul, one_raw, labels)
-    meta = {"left": r1.backend_tag, "right": r2.backend_tag}
-    return FiniteRing(add, mul, "product", labels, meta, caps=caps)
+    return FiniteRing(add, mul, "product", labels, caps=caps)
 
 
 # -- polynomial quotients over monomial ideals -----------------------------
@@ -366,8 +361,7 @@ def ring_poly_quot(
             if c
         ]
         labels.append("+".join(parts) if parts else "0")
-    meta = {"p": p, "variables": list(variables), "relations": list(relations), "basis_dim": nb}
-    return FiniteRing(add, mul, "poly_quot", labels, meta, caps=caps)
+    return FiniteRing(add, mul, "poly_quot", labels, caps=caps)
 
 
 def ring_from_tables(

@@ -146,8 +146,8 @@ def _check_kind(spec, kinds: dict, what: str) -> None:
 def normalize_spec(spec: dict) -> dict:
     _check_fields(spec, {"version", "ring", "module"}, "instance spec", {"ring", "module"})
     version = spec.get("version", SPEC_VERSION)
-    if version != SPEC_VERSION:
-        raise SpecError(f"unsupported spec version {version}")
+    if not _is_int(version) or version != SPEC_VERSION:
+        raise SpecError(f"unsupported spec version {version!r}")
     _check_kind(spec["ring"], RING_KINDS, "ring")
     _check_kind(spec["module"], MODULE_KINDS, "module")
     out = {"version": SPEC_VERSION, "ring": spec["ring"], "module": spec["module"]}

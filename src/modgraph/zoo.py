@@ -188,11 +188,6 @@ def contexts(specs, caps: Caps | None = None, predicate=None) -> Iterator[Instan
             yield ctx
 
 
-def family(max_ring_size: int, caps: Caps | None = None, predicate=None) -> Iterator[InstanceContext]:
-    """Contexts of the exhaustive family, filtered by an optional predicate."""
-    return contexts(family_specs(max_ring_size), caps, predicate)
-
-
 def filter_triangle_free(ctx: InstanceContext) -> bool:
     return ctx.graph.is_triangle_free()
 

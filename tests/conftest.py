@@ -6,7 +6,7 @@ import pytest
 from modgraph.caps import Caps
 from modgraph.modules import direct_sum, quotient, regular_module, submodule_generated
 from modgraph.rings import ring_gf, ring_triangular, ring_zmod
-from modgraph.zoo import contexts, family, named_instance_specs
+from modgraph.zoo import contexts, family_specs, named_instance_specs
 
 # the interpreters the CLI tests start import the package from src/ too
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -25,7 +25,7 @@ def named_contexts():
 
 @pytest.fixture(scope="session")
 def family16_contexts():
-    return list(family(16))
+    return list(contexts(family_specs(16)))
 
 
 @pytest.fixture(scope="session")

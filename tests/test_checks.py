@@ -26,6 +26,7 @@ from modgraph.checks import (
     reports_to_jsonl,
     run_suite,
 )
+from modgraph.errors import SpecError
 from modgraph.lattice import enumerate_submodules, prime_radical, section_hom_count
 from modgraph.modules import regular_module
 from modgraph.specs import build_instance, make_spec
@@ -281,14 +282,30 @@ def test_summary_rendering(named_reports):
 
 
 def test_unknown_check_id_rejected(named_contexts):
-    with pytest.raises(KeyError):
+    with pytest.raises(SpecError, match="unknown check id 'C99-nope'"):
         run_suite(named_contexts[:1], ["C99-nope"])
 
 
+def test_repeated_check_id_rejected(named_contexts):
+    with pytest.raises(SpecError, match="repeated check id 'C1-pair-count'"):
+        run_suite(named_contexts[:1], ["C1-pair-count", "C10-connectivity", "C1-pair-count"])
+
+
+def test_reports_carry_the_id_their_check_is_registered_under(monkeypatch, ctx_by_id):
+    monkeypatch.setitem(ALL_CHECKS, "C0-alias", check_connectivity)
+    reports, summary = run_suite([ctx_by_id["zmod(8)/regular"]], ["C10-connectivity", "C0-alias"])
+    assert [r.check_id for r in reports] == ["C0-alias", "C10-connectivity"]
+    alias, own = (r.to_json() for r in reports)
+    assert alias == {**own, "check": "C0-alias"} and own["status"] == PASS
+    assert list(summary.counts) == ["C10-connectivity", "C0-alias"]
+
+
 def test_vacuous_warning_fires(ctx_by_id):
-    only_chain = [ctx_by_id["zmod(8)/regular"]]
-    _, summary = run_suite(only_chain, ["C1-pair-count"])
+    chains = [ctx_by_id["zmod(4)/regular"], ctx_by_id["zmod(8)/regular"]]
+    (first, second), summary = run_suite(chains, ["C1-pair-count"])
     assert summary.warnings
+    # a verdict without details gives each report a dict of its own
+    assert first.details == second.details == {} and first.details is not second.details
 
 
 # sha256 of the bytes `verify --family named --jsonl` and `--family size:16

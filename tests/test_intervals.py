@@ -25,7 +25,7 @@ from modgraph.modules import (
 )
 from modgraph.rings import ring_gf, ring_zmod
 from modgraph.specs import make_spec
-from modgraph.zoo import contexts, family, family_specs
+from modgraph.zoo import contexts, family_specs
 
 from .oracles import (
     brute_covers,
@@ -103,7 +103,7 @@ def test_section_hom_count_matches_built_sections(named_contexts, family16_conte
 def test_section_classes_are_isomorphism_classes(named_contexts):
     # two simple sections are isomorphic exactly when their annihilators agree
     checked, isomorphic = 0, 0
-    for ctx in [*named_contexts, *family(64)]:
+    for ctx in [*named_contexts, *contexts(family_specs(64))]:
         lat = ctx.lattice
         subs = lat.subs
         by_size: dict[int, list[tuple[int, int]]] = {}
@@ -128,7 +128,7 @@ def test_end_sizes_read_off_classes_match_hom_counts(named_contexts):
     pair = {"kind": "direct_sum", "left": {"kind": "regular"}, "right": {"kind": "regular"}}
     sums = contexts(make_spec(spec["ring"], pair) for spec in family_specs(32))
     classes = 0
-    for ctx in [*named_contexts, *family(64), *sums]:
+    for ctx in [*named_contexts, *contexts(family_specs(64)), *sums]:
         lat = ctx.lattice
         zero = lat.subs[lat.zero_index]
         firsts = {lat.section_class(a, lat.zero_index): a for a in reversed(lat.atom_indices())}

@@ -196,8 +196,12 @@ BAD_SPECS = {
         {"version": 1, "ring": {"kind": "zmod", "n": 6},
          "module": {"kind": "quotient", "of": {"kind": "regular"}, "kernel_gens": [-1]}},
         {**Z12_SPEC, "caps": {"max_ring_size": "x"}},
+        {**Z12_SPEC, "version": True},
+        {**Z12_SPEC, "version": 1.0},
     ],
-    ids=list(BAD_SPECS) + ["kernel-index-past-module", "kernel-index-negative", "cap-not-int"],
+    ids=list(BAD_SPECS) + [
+        "kernel-index-past-module", "kernel-index-negative", "cap-not-int", "version-true", "version-float",
+    ],
 )
 def test_cli_bad_spec_exits_two(spec, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -263,6 +267,17 @@ def test_cli_family_bound_below_two_exits_two(family, capsys):
     assert main(["verify", "--family", family]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("check_ids", ["C99-nope", "C1-pair-count,C1-pair-count", "C1-pair-count,"])
+def test_cli_bad_check_ids_exit_two_without_traceback(check_ids):
+    proc = subprocess.run(
+        [sys.executable, "-m", "modgraph.cli", "verify", "--family", "size:2", "--check", check_ids],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert "known: C1-pair-count, C2-low-degree" in proc.stderr
 
 
 def test_cli_subprocess_byte_identical(spec_file):
@@ -335,7 +350,7 @@ def test_cli_verify_exit_one_on_failing_check(spec_file, capsys, monkeypatch):
     from modgraph import checks
 
     def always_fail(ctx):
-        return checks.CheckReport("C0-injected", ctx.instance_id, checks.FAIL, "forced")
+        return checks.Verdict(checks.FAIL, "forced")
 
     monkeypatch.setitem(checks.ALL_CHECKS, "C0-injected", always_fail)
     assert main(["verify", spec_file, "--check", "C0-injected"]) == 1
@@ -350,10 +365,10 @@ def test_verify_does_not_import_numpy_ma():
         "import contextlib, io, sys",
         "from modgraph.checks import run_suite",
         "from modgraph.cli import main",
-        "from modgraph.zoo import family",
+        "from modgraph.zoo import contexts, family_specs",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    assert main(['verify', '--family', 'named']) == 0",
-        "ctx = next(c for c in family(16) if c.instance_id == 'product(zmod(4),polyquot(F2,x^2))/regular')",
+        "ctx = next(c for c in contexts(family_specs(16)) if c.instance_id == 'product(zmod(4),polyquot(F2,x^2))/regular')",
         "run_suite([ctx])",
         "print('numpy.ma' in sys.modules)",
     ])

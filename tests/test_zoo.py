@@ -9,7 +9,6 @@ from modgraph.zoo import (
     REGULAR,
     _base_ring_specs,
     contexts,
-    family,
     family_specs,
     named_instance_specs,
 )
@@ -66,7 +65,7 @@ def test_named_specs_normalize_deterministically():
 
 
 def test_family_census_contents():
-    ids = {c.instance_id for c in family(16)}
+    ids = {c.instance_id for c in contexts(family_specs(16))}
     for expected in [
         "zmod(4)/regular",
         "zmod(16)/regular",
@@ -80,7 +79,7 @@ def test_family_census_contents():
         "product(zmod(2),zmod(3))/regular",
     ]:
         assert expected in ids, expected
-    assert all(c.ring.size <= 16 for c in family(16))
+    assert all(c.ring.size <= 16 for c in contexts(family_specs(16)))
 
 
 def test_family_is_deterministic():
@@ -135,12 +134,12 @@ def test_every_element_label_is_pinned(named_contexts, family16_contexts):
 
 
 def test_triangle_free_filter():
-    ids = {c.instance_id for c in family(16, predicate=FILTERS["triangle-free"])}
+    ids = {c.instance_id for c in contexts(family_specs(16), predicate=FILTERS["triangle-free"])}
     assert "zmod(8)/regular" in ids
     assert "zmod(16)/regular" not in ids  # its chain of three ideals is a triangle
 
 
 def test_homogeneous_socle_filter():
-    ids = {c.instance_id for c in family(16, predicate=FILTERS["homogeneous-socle-pair"])}
+    ids = {c.instance_id for c in contexts(family_specs(16), predicate=FILTERS["homogeneous-socle-pair"])}
     assert "M2(F2)/regular" in ids
     assert "zmod(12)/regular" not in ids
