@@ -598,7 +598,7 @@ class SuiteSummary:
         return any(c.get(FAIL, 0) for c in self.counts.values())
 
 
-def run_suite(contexts, check_ids=None, caps: Caps | None = None):
+def run_suite(contexts, check_ids=None, caps: Caps = Caps()):
     """Run the selected checks over instance contexts.
 
     Returns (reports, summary); reports are ordered by (instance, check).

@@ -109,7 +109,7 @@ def cmd_verify(args) -> int:
         specs = [load_spec_file(args.spec)]
     else:
         raise SpecError("verify needs a spec file or --family")
-    check_ids = args.check.split(",") if args.check else None
+    check_ids = args.check.split(",") if args.check is not None else None
     reports, summary = run_suite(zoo.contexts(specs, caps, zoo.FILTERS[args.filter]), check_ids, caps)
     if args.jsonl:
         with open(args.jsonl, "w", encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caps import Caps, capped_power, check_characteristic
+from .caps import Caps
 from .errors import ConstructionError
 
 Poly = tuple[int, ...]  # little-endian coefficients over Z/p, no trailing zeros
@@ -82,10 +82,10 @@ def field_size(p: int, k: int, caps: Caps) -> int:
     before it seeks the modulus or forms a table."""
     if k < 1:
         raise ConstructionError(f"extension degree must be >= 1, got {k}")
-    check_characteristic(p, caps.max_ring_size)
+    caps.check_characteristic(p)
     if not is_prime(p):
         raise ConstructionError(f"characteristic {p} is not prime")
-    return capped_power(p, k, caps.max_ring_size, "field")
+    return caps.capped_power(p, k, "field")
 
 
 def _digits(p: int, d: int) -> np.ndarray:

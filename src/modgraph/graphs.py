@@ -19,9 +19,10 @@ reached; only when some vertex falls short (diameter >= 3, a disconnected
 graph, or n <= 1) does it take the largest eccentricity.  Girth is 3 as
 soon as a triangle exists, and only triangle-free graphs get a per-vertex
 BFS.  Exact invariants delegate to the branch-and-bound solvers; each graph
-solves omega, omega_c, chi and chi_c once, and chi and chi_c start from the
-omega and omega_c witnesses.  The two structural coloring schemes never
-return an improper coloring, reporting an applicability failure instead.
+tests the vertex cap before anything is built, solves omega, omega_c, chi and
+chi_c once, and starts chi and chi_c from the omega and omega_c witnesses.
+The two structural coloring schemes never return an improper coloring,
+reporting an applicability failure instead.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .errors import ConstructionError, StructureError
 from .lattice import Lattice
 from .solvers import (
     by_degree,
-    check_cap,
     chromatic_number,
     is_proper_coloring,
     iter_bits,
@@ -107,31 +107,33 @@ class IntersectionGraph:
         full = (1 << self.n) - 1
         return [full & ~self.adj[v] & ~(1 << v) for v in range(self.n)]
 
-    def _solve_once(self, key: str, solve, caps: Caps | None):
+    def _solve_once(self, key: str, solve, caps: Caps):
+        # refused before solve() builds anything, such as the complement rows;
+        # a remembered answer still honours the caller's cap
+        caps.check_vertices(self.n)
         if key not in self._solved:
             self._solved[key] = solve()
-        check_cap(self.n, caps)  # a remembered answer still honours the caller's cap
         return self._solved[key]
 
-    def clique_number(self, caps: Caps | None = None) -> tuple[int, list[int]]:
+    def clique_number(self, caps: Caps = Caps()) -> tuple[int, list[int]]:
         return self._solve_once("omega", lambda: max_clique(self.n, self.adj, caps), caps)
 
-    def maximal_cliques(self, caps: Caps | None = None) -> list[list[int]]:
+    def maximal_cliques(self, caps: Caps = Caps()) -> list[list[int]]:
         return max_cliques(self.n, self.adj, caps)
 
-    def chromatic(self, caps: Caps | None = None) -> tuple[int, Coloring]:
+    def chromatic(self, caps: Caps = Caps()) -> tuple[int, Coloring]:
         return self._solve_once("chi", lambda: self._color(self.adj, self.clique_number(caps)[1], caps), caps)
 
-    def complement_clique_number(self, caps: Caps | None = None) -> tuple[int, list[int]]:
+    def complement_clique_number(self, caps: Caps = Caps()) -> tuple[int, list[int]]:
         return self._solve_once("omega_c", lambda: max_clique(self.n, self.complement_adj(), caps), caps)
 
-    def complement_chromatic(self, caps: Caps | None = None) -> tuple[int, Coloring]:
+    def complement_chromatic(self, caps: Caps = Caps()) -> tuple[int, Coloring]:
         def solve():
             return self._color(self.complement_adj(), self.complement_clique_number(caps)[1], caps)
 
         return self._solve_once("chi_c", solve, caps)
 
-    def _color(self, adj: list[int], clique: list[int], caps: Caps | None) -> tuple[int, Coloring]:
+    def _color(self, adj: list[int], clique: list[int], caps: Caps) -> tuple[int, Coloring]:
         k, colors = chromatic_number(self.n, adj, clique, caps)
         return k, Coloring(tuple(colors), k, "exact")
 

@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .caps import Caps
-from .errors import CapExceeded, ConstructionError, StructureError
+from .errors import ConstructionError, StructureError
 from .modules import FiniteModule, Submodule, cyclic_members
 from .solvers import iter_bits
 
@@ -335,7 +335,7 @@ class Lattice:
 _BATCH_CELLS = 1 << 20
 
 
-def enumerate_submodules(module: FiniteModule, caps: Caps | None = None) -> Lattice:
+def enumerate_submodules(module: FiniteModule, caps: Caps = Caps()) -> Lattice:
     """Every submodule of module, each built once, by canonical augmentation
     (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998) of
     the cyclic extension S -> S + Rx.
@@ -363,10 +363,10 @@ def enumerate_submodules(module: FiniteModule, caps: Caps | None = None) -> Latt
     cut into batches of at most _BATCH_CELLS cells per intermediate array,
     so memory stays bounded.
 
-    Every member counts once against caps.max_submodules, and each is
-    handed to the lattice with its canonical parent and its generators.
+    Every member counts once against caps.max_submodules, before the
+    members of a batch are formed, and each is handed to the lattice with
+    its canonical parent and its generators.
     """
-    caps = caps or Caps()
     size = module.size
     add, act_t = module.add, module.act.T  # act_t[x] lists Rx, one entry per r
     carrier = np.arange(size)
@@ -396,11 +396,7 @@ def enumerate_submodules(module: FiniteModule, caps: Caps | None = None) -> Latt
             ks, xs, met = ks[keep], xs[keep], met[keep]
             if not len(ks):
                 continue
-            if len(parents) + len(ks) > caps.max_submodules:
-                raise CapExceeded(
-                    f"more than max_submodules={caps.max_submodules} submodules;"
-                    " raise the cap to proceed"
-                )
+            caps.check_submodules(len(parents) + len(ks))
             offset = np.arange(0, len(ks) * size, size)[:, None]
             hit = np.zeros(len(ks) * size, dtype=bool)  # at k * size + c: coset c is in S + Rx
             hit[met + offset] = True

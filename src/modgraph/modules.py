@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .caps import Caps
-from .errors import CapExceeded, ConstructionError
+from .errors import ConstructionError
 from .rings import TABLE_DTYPE, FiniteRing, frozen_table, module_laws_hold
 
 
@@ -25,12 +25,10 @@ class FiniteModule:
         act: np.ndarray,
         labels: list[str] | None = None,
         meta: dict | None = None,
-        caps: Caps | None = None,
+        caps: Caps = Caps(),
     ):
-        caps = caps or Caps()
         m = add.shape[0]
-        if m > caps.max_ring_size:
-            raise CapExceeded(f"module size {m} exceeds cap max_ring_size={caps.max_ring_size}")
+        caps.check_size(m, "module")
         if add.shape != (m, m) or act.shape != (ring.size, m):
             raise ConstructionError("module table shapes inconsistent")
         self.ring = ring
@@ -144,20 +142,18 @@ def cyclic_members(module: FiniteModule, x: int) -> np.ndarray:
 # -- constructions ---------------------------------------------------------
 
 
-def regular_module(ring: FiniteRing, caps: Caps | None = None) -> FiniteModule:
+def regular_module(ring: FiniteRing, caps: Caps = Caps()) -> FiniteModule:
     return FiniteModule(
         ring, ring.add, ring.mul, labels=ring.labels, meta={"kind": "regular"}, caps=caps
     )
 
 
-def direct_sum(m1: FiniteModule, m2: FiniteModule, caps: Caps | None = None) -> FiniteModule:
-    caps = caps or Caps()
+def direct_sum(m1: FiniteModule, m2: FiniteModule, caps: Caps = Caps()) -> FiniteModule:
     if m1.ring is not m2.ring:
         raise ConstructionError("direct sum needs modules over the same ring")
     s1, s2 = m1.size, m2.size
     m = s1 * s2
-    if m > caps.max_ring_size:
-        raise CapExceeded(f"direct sum size {m} exceeds cap max_ring_size={caps.max_ring_size}")
+    caps.check_size(m, "direct sum")
     idx = np.arange(m)
     I1, I2 = idx // s2, idx % s2
     add = s2 * m1.add[np.ix_(I1, I1)].astype(np.int64) + m2.add[np.ix_(I2, I2)]
@@ -167,7 +163,7 @@ def direct_sum(m1: FiniteModule, m2: FiniteModule, caps: Caps | None = None) -> 
 
 
 def quotient(
-    module: FiniteModule, kernel, caps: Caps | None = None
+    module: FiniteModule, kernel, caps: Caps = Caps()
 ) -> tuple[FiniteModule, np.ndarray]:
     """Quotient by a submodule; returns (module, projection index map).
 
@@ -196,12 +192,12 @@ def custom_module(
     add,
     act,
     labels: list[str] | None = None,
-    caps: Caps | None = None,
+    caps: Caps = Caps(),
 ) -> FiniteModule:
     return FiniteModule(ring, np.asarray(add), np.asarray(act), labels, {"kind": "custom"}, caps=caps)
 
 
-def submodule_as_module(sub: Submodule, caps: Caps | None = None) -> FiniteModule:
+def submodule_as_module(sub: Submodule, caps: Caps = Caps()) -> FiniteModule:
     """The submodule re-indexed as a standalone module over the same ring."""
     parent = sub.module
     mem = np.array(sub.members, dtype=np.int64)

@@ -20,8 +20,8 @@ from itertools import product
 
 import numpy as np
 
-from .caps import Caps, capped_power, check_characteristic
-from .errors import CapExceeded, ConstructionError
+from .caps import Caps
+from .errors import ConstructionError
 from .fields import (
     algebra_tables,
     field_size,
@@ -121,12 +121,10 @@ class FiniteRing:
         mul: np.ndarray,
         backend_tag: str,
         labels: list[str] | None = None,
-        caps: Caps | None = None,
+        caps: Caps = Caps(),
     ):
-        caps = caps or Caps()
         n = add.shape[0]
-        if n > caps.max_ring_size:
-            raise CapExceeded(f"ring size {n} exceeds cap max_ring_size={caps.max_ring_size}")
+        caps.check_size(n, "ring")
         if add.shape != (n, n) or mul.shape != (n, n):
             raise ConstructionError("tables must be square and same size")
         self.size = n
@@ -183,20 +181,17 @@ def _relabel_unity(add: np.ndarray, mul: np.ndarray, one_raw: int, labels: list[
 # -- builders -------------------------------------------------------------
 
 
-def ring_zmod(n: int, caps: Caps | None = None) -> FiniteRing:
-    caps = caps or Caps()
+def ring_zmod(n: int, caps: Caps = Caps()) -> FiniteRing:
     if n < 2:
         raise ConstructionError("modulus must be >= 2")
-    if n > caps.max_ring_size:
-        raise CapExceeded(f"ring size {n} exceeds cap max_ring_size={caps.max_ring_size}")
+    caps.check_size(n, "ring")
     i = np.arange(n)
     add = (i[:, None] + i[None, :]) % n
     mul = (i[:, None] * i[None, :]) % n
     return FiniteRing(add, mul, "zmod", [str(v) for v in range(n)], caps=caps)
 
 
-def ring_gf(p: int, k: int, caps: Caps | None = None) -> FiniteRing:
-    caps = caps or Caps()
+def ring_gf(p: int, k: int, caps: Caps = Caps()) -> FiniteRing:
     field_size(p, k, caps)
     add, mul, labels = gf_tables(p, k)
     return FiniteRing(add, mul, "gf", labels, caps=caps)
@@ -208,10 +203,9 @@ def _bracketed(names: list[str], m: int) -> list[str]:
     return ["[" + ",".join(reversed(t)) + "]" for t in product(names, repeat=m)]
 
 
-def ring_matrix(p: int, k: int, m: int, caps: Caps | None = None) -> FiniteRing:
-    caps = caps or Caps()
+def ring_matrix(p: int, k: int, m: int, caps: Caps = Caps()) -> FiniteRing:
     q = field_size(p, k, caps)
-    capped_power(q, m * m, caps.max_ring_size, "matrix ring")
+    caps.capped_power(q, m * m, "matrix ring")
     # matrix units in row-major order: e_(r,s) e_(s,c) = e_(r,c).  Basis
     # element e*k + a is x^a e_e, so entry e of element i is its base-q digit e
     row, col = np.divmod(np.arange(m * m), m)
@@ -223,15 +217,13 @@ def ring_matrix(p: int, k: int, m: int, caps: Caps | None = None) -> FiniteRing:
     return FiniteRing(add, mul, "matrix", labels, caps=caps)
 
 
-def ring_triangular(p: int, k: int, j: int, caps: Caps | None = None) -> FiniteRing:
+def ring_triangular(p: int, k: int, j: int, caps: Caps = Caps()) -> FiniteRing:
     """Matrices [[a, b], [0, c]] with a, b in GF(p^k) and c in its degree-j subfield."""
-    caps = caps or Caps()
     q = field_size(p, k, caps)
     if j < 1 or k % j:
         raise ConstructionError(f"degree {j} does not divide {k}")
     n = q * q * p**j  # GF(q) fits the cap, so the power stays small
-    if n > caps.max_ring_size:
-        raise CapExceeded(f"triangular ring size {n} exceeds cap max_ring_size={caps.max_ring_size}")
+    caps.check_size(n, "triangular ring")
     fa, fm, names = gf_tables(p, k)
     sa, sm, _ = gf_tables(p, j)
     image = subfield_image(p, j, (fa, fm), (sa, sm))
@@ -246,12 +238,10 @@ def ring_triangular(p: int, k: int, j: int, caps: Caps | None = None) -> FiniteR
     return FiniteRing(add, mul, "triangular", labels, caps=caps)
 
 
-def ring_product(r1: FiniteRing, r2: FiniteRing, caps: Caps | None = None) -> FiniteRing:
-    caps = caps or Caps()
+def ring_product(r1: FiniteRing, r2: FiniteRing, caps: Caps = Caps()) -> FiniteRing:
     n1, n2 = r1.size, r2.size
     n = n1 * n2
-    if n > caps.max_ring_size:
-        raise CapExceeded(f"product ring size {n} exceeds cap max_ring_size={caps.max_ring_size}")
+    caps.check_size(n, "product ring")
     idx = np.arange(n)
     I1, I2 = idx // n2, idx % n2
     add = r2.size * r1.add[I1[:, None], I1[None, :]].astype(np.int64) + r2.add[I2[:, None], I2[None, :]]
@@ -292,75 +282,61 @@ def _divisible(mono: tuple[int, ...], gen: tuple[int, ...]) -> bool:
     return all(a >= b for a, b in zip(mono, gen))
 
 
-def ring_poly_quot(
-    p: int,
-    relations: list[str],
-    variables: list[str] | None = None,
-    caps: Caps | None = None,
-) -> FiniteRing:
+def monomial_label(mono: tuple[int, ...], variables: list[str]) -> str:
+    """The monomial with these exponents as relations are written: "1",
+    "x", "x^2", "x*y^3"."""
+    if not any(mono):
+        return "1"
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(variables, mono) if e)
+
+
+def monomial_ideal(relations: list[str], variables: list[str] | None = None) -> tuple[list[str], list[tuple[int, ...]]]:
+    """The variables (read off the relations when not given) and the minimal
+    generators of the monomial ideal the relations span, as exponent vectors
+    sorted descending.  A monomial ideal has exactly one minimal generating
+    set (Dickson's lemma), so every spelling of one ideal gives one list."""
+    if variables is None:
+        variables = sorted({f for rel in relations for f in rel.replace(" ", "").split("*") for f in [f.partition("^")[0]]})
+    if len(set(variables)) != len(variables):
+        raise ConstructionError(f"variables {variables} are not distinct")
+    gens = {parse_monomial(r, variables) for r in relations}
+    return variables, sorted((g for g in gens if not any(h != g and _divisible(g, h) for h in gens)), reverse=True)
+
+
+def ring_poly_quot(p: int, relations: list[str], variables: list[str] | None = None, caps: Caps = Caps()) -> FiniteRing:
     """F_p[vars] / (monomial relations), e.g. F_2[x]/(x^3) or F_2[x,y]/(x^2,x*y,y^2).
 
     The quotient must be finite dimensional; an unbounded monomial basis is
     reported as a closure failure.
     """
-    caps = caps or Caps()
-    check_characteristic(p, caps.max_ring_size)
+    caps.check_characteristic(p)
     if not is_prime(p):
         raise ConstructionError(f"coefficient characteristic {p} is not prime")
-    if variables is None:
-        variables = sorted({f for rel in relations for f in rel.replace(" ", "").split("*") for f in [f.partition("^")[0]]})
-    if len(set(variables)) != len(variables):
-        raise ConstructionError(f"variables {variables} are not distinct")
-    gens = [parse_monomial(r, variables) for r in relations]
-    nv = len(variables)
+    variables, gens = monomial_ideal(relations, variables)
     # finite quotient iff every variable is nilpotent, i.e. some relation is a
-    # pure power of it; otherwise the monomial basis never closes
-    for v, name in enumerate(variables):
-        if not any(g[v] > 0 and all(e == 0 for t, e in enumerate(g) if t != v) for g in gens):
+    # pure power x_v^b_v of it; otherwise the monomial basis never closes
+    bounds = [min((g[v] for g in gens if g[v] == sum(g)), default=0) for v in range(len(variables))]
+    for name, b in zip(variables, bounds):
+        if not b:
             raise ConstructionError(f"closure failure: no pure power of {name!r} among relations")
-    # basis monomials: complement of the monomial ideal, found by BFS from 1
-    basis: list[tuple[int, ...]] = []
-    seen = set()
-    frontier = [(0,) * nv]
-    while frontier:
-        mono = frontier.pop(0)
-        if mono in seen or any(_divisible(mono, g) for g in gens):
-            continue
-        seen.add(mono)
-        basis.append(mono)
-        if len(basis) > caps.max_ring_size.bit_length():
-            break  # p^len(basis) > cap already, which capped_power reports
-        for v in range(nv):
-            nxt = tuple(e + (1 if t == v else 0) for t, e in enumerate(mono))
-            if nxt not in seen:
-                frontier.append(nxt)
-    basis.sort(key=lambda mo: (sum(mo), mo))
-    bpos = {mo: t for t, mo in enumerate(basis)}
+    # 1 and each x_v^e with 0 < e < b_v are basis monomials, so the ring has
+    # at least p^(1 + sum(b_v - 1)) elements; once that fits the cap, the
+    # box of exponents below the bounds holds at most max_ring_size tuples
+    caps.capped_power(p, 1 + sum(b - 1 for b in bounds), "quotient ring")
+    box = product(*(range(b) for b in bounds))
+    basis = sorted((mo for mo in box if not any(_divisible(mo, g) for g in gens)), key=lambda mo: (sum(mo), mo))
     nb = len(basis)
-    capped_power(p, nb, caps.max_ring_size, "quotient ring")
-    # product of basis monomials: basis position or -1 when it falls in the ideal
-    prod = np.full((nb, nb), -1, dtype=np.int64)
-    for s in range(nb):
-        for t in range(nb):
-            mono = tuple(a + b for a, b in zip(basis[s], basis[t]))
-            if not any(_divisible(mono, g) for g in gens):
-                prod[s, t] = bpos[mono]
+    caps.capped_power(p, nb, "quotient ring")
+    # product of basis monomials: its basis position, or -1 when it lies in
+    # the ideal, as every monomial outside the ideal is in the basis
+    bpos = {mo: t for t, mo in enumerate(basis)}
+    prod = np.array([[bpos.get(tuple(map(sum, zip(a, b))), -1) for b in basis] for a in basis])
     D, add, mul = algebra_tables(p, prod[..., None] == np.arange(nb))
 
-    def mono_label(mo: tuple[int, ...]) -> str:
-        if sum(mo) == 0:
-            return "1"
-        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(variables, mo) if e)
+    def term(c: int, mo: tuple[int, ...]) -> str:  # c times mo, with no factor 1 written
+        return str(c) if not any(mo) else ("" if c == 1 else str(c)) + monomial_label(mo, variables)
 
-    labels = []
-    for coords in D.tolist():
-        parts = [
-            (mono_label(basis[t]) if (c == 1 and sum(basis[t]) > 0) else
-             (str(c) if sum(basis[t]) == 0 else f"{c}{mono_label(basis[t])}"))
-            for t, c in enumerate(coords)
-            if c
-        ]
-        labels.append("+".join(parts) if parts else "0")
+    labels = ["+".join(term(c, mo) for c, mo in zip(coords, basis) if c) or "0" for coords in D.tolist()]
     return FiniteRing(add, mul, "poly_quot", labels, caps=caps)
 
 
@@ -368,7 +344,7 @@ def ring_from_tables(
     add: list[list[int]] | np.ndarray,
     mul: list[list[int]] | np.ndarray,
     labels: list[str] | None = None,
-    caps: Caps | None = None,
+    caps: Caps = Caps(),
 ) -> FiniteRing:
     return FiniteRing(np.asarray(add), np.asarray(mul), "table", labels, caps=caps)
 

@@ -14,10 +14,12 @@ ends at the root.  The chromatic number takes its lower bound, a clique,
 from the caller.  Its upper bound is the best of three heuristic colourings
 (first-fit in index order, first-fit in degree order, RLF), each checked
 proper by a bitset class test; it backtracks only for the k between the
-two.  Every search (max_clique, max_cliques, _colorable) keeps its frames
-on an explicit stack, so no Python recursion depth grows with the graph.
-The exact solvers refuse graphs above a vertex cap instead of silently
-approximating.
+two.  The clique bound and both first-fit colourings come from one
+class-by-class loop, `greedy_classes`.  Every search (max_clique,
+max_cliques, _colorable) keeps its frames on an explicit stack, so no
+Python recursion depth grows with the graph.  The exact solvers refuse
+graphs above the caller's vertex cap (`Caps.check_vertices`) before they
+start, instead of silently approximating.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .caps import Caps
-from .errors import CapExceeded, ConstructionError
+from .errors import ConstructionError
 
 
 def iter_bits(mask: int):
@@ -34,12 +36,6 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def check_cap(n: int, caps: Caps | None) -> None:
-    cap = (caps or Caps()).max_exact_vertices
-    if n > cap:
-        raise CapExceeded(f"{n} vertices exceeds the exact-solver cap max_exact_vertices={cap}")
 
 
 def by_degree(n: int, adj: list[int]) -> list[int]:
@@ -58,10 +54,31 @@ def _renumbered(adj: list[int], order: list[int]) -> list[int]:
     return [int.from_bytes(packed[i * width:(i + 1) * width], "little") for i in range(n)]
 
 
-def max_clique(n: int, adj: list[int], caps: Caps | None = None) -> tuple[int, list[int]]:
+def greedy_classes(adj: list[int], cand: int) -> list[tuple[int, int]]:
+    """First-fit colouring of the vertices of cand (each takes, in index
+    order, the least colour no earlier neighbour has), built one class at a
+    time: class c takes, in index order, each vertex left by the earlier
+    classes with no neighbour already in c.  Returns the (vertex, c) pairs
+    in the order taken, so colours rise along the list."""
+    order = []
+    color = 0
+    rest = cand
+    while rest:
+        avail = rest
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            order.append((v, color))
+            avail &= ~(adj[v] | low)
+            rest ^= low
+        color += 1
+    return order
+
+
+def max_clique(n: int, adj: list[int], caps: Caps = Caps()) -> tuple[int, list[int]]:
     """Maximum clique by branch and bound with a greedy coloring bound, on
     the degree-ordered renumbering of the graph, from a greedy incumbent."""
-    check_cap(n, caps)
+    caps.check_vertices(n)
     if n == 0:
         return 0, []
     orig = by_degree(n, adj)  # vertex i of the search is vertex orig[i]
@@ -73,36 +90,22 @@ def max_clique(n: int, adj: list[int], caps: Caps | None = None) -> tuple[int, l
         best.append(v)
         cand &= adj[v]
 
-    def color_bound(cand: int) -> list[tuple[int, int]]:
-        # greedy color classes; vertices emitted with their class number
-        order = []
-        color = 0
-        rest = cand
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append((v, color))
-                avail &= ~adj[v] & ~(1 << v)
-                rest &= ~(1 << v)
-        return order
-
     # one frame per vertex of the current clique, plus the root: the colored
     # candidates still to branch on (taken from the end) and the candidate set
     current: list[int] = []
-    frames = [[color_bound(everything), everything]]
+    frames = [[greedy_classes(adj, everything), everything]]
     while frames:
         frame = frames[-1]
         order, cand = frame
-        # colors rise along the list, so once the last fails the bound, all do
-        if order and len(current) + order[-1][1] > len(best):
+        # a clique among the candidates of colour <= c has at most c + 1 of
+        # them; colors rise along the list, so once the last fails the bound, all do
+        if order and len(current) + order[-1][1] >= len(best):
             v, _ = order.pop()
             frame[1] = cand & ~(1 << v)
             current.append(v)
             sub = cand & adj[v]
             if sub:
-                frames.append([color_bound(sub), sub])
+                frames.append([greedy_classes(adj, sub), sub])
                 continue
             if len(current) > len(best):
                 best = current[:]
@@ -114,10 +117,10 @@ def max_clique(n: int, adj: list[int], caps: Caps | None = None) -> tuple[int, l
     return len(best), sorted(orig[v] for v in best)
 
 
-def max_cliques(n: int, adj: list[int], caps: Caps | None = None) -> list[list[int]]:
+def max_cliques(n: int, adj: list[int], caps: Caps = Caps()) -> list[list[int]]:
     """All maximal cliques (Bron-Kerbosch with pivot), sorted canonically.
     The search keeps one frame per clique vertex on an explicit stack."""
-    check_cap(n, caps)
+    caps.check_vertices(n)
     out: list[list[int]] = []
 
     def frame(r: list[int], p: int, x: int) -> list | None:
@@ -144,23 +147,10 @@ def max_cliques(n: int, adj: list[int], caps: Caps | None = None) -> list[list[i
 
 
 def greedy_coloring(n: int, adj: list[int]) -> list[int]:
-    """First-fit colouring in index order: each vertex takes the least colour
-    that no earlier neighbour has.  It is built one colour class at a time
-    over bitsets, which gives the same colouring: class c takes, in index
-    order, each vertex left by the earlier classes with no neighbour
-    already in c."""
-    colors = [-1] * n
-    rest = (1 << n) - 1
-    color = 0
-    while rest:
-        avail = rest
-        while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            colors[v] = color
-            avail &= ~(adj[v] | low)
-            rest ^= low
-        color += 1
+    """First-fit colouring in index order, as a colour per vertex."""
+    colors = [0] * n
+    for v, c in greedy_classes(adj, (1 << n) - 1):
+        colors[v] = c
     return colors
 
 
@@ -229,7 +219,7 @@ def _colorable(n: int, adj: list[int], k: int) -> list[int] | None:
     return colors if i == n else None
 
 
-def chromatic_number(n: int, adj: list[int], clique: list[int], caps: Caps | None = None) -> tuple[int, list[int]]:
+def chromatic_number(n: int, adj: list[int], clique: list[int], caps: Caps = Caps()) -> tuple[int, list[int]]:
     """Exact chromatic number with a witness coloring.
 
     The caller's clique (max_clique's witness skips every k below omega) is
@@ -240,7 +230,7 @@ def chromatic_number(n: int, adj: list[int], clique: list[int], caps: Caps | Non
     each k in between.  A list that is not a clique raises, and so does an
     improper candidate colouring.
     """
-    check_cap(n, caps)
+    caps.check_vertices(n)
     mask = sum(1 << v for v in set(clique) if 0 <= v < n)  # fewer bits: a repeat or a stray vertex
     if mask.bit_count() != len(clique) or any((adj[v] | 1 << v) & mask != mask for v in clique):
         raise ConstructionError("lower bound is not a clique of the graph")

@@ -1,7 +1,9 @@
 """Instance spec files: a strict JSON schema for (ring, module) pairs.
 
 Specs normalize to sorted-key JSON, so equal content gives byte-equal files
-and a stable content hash.  Unknown fields are rejected.
+and a stable content hash.  A polynomial quotient's relations normalize to
+the minimal generators of their ideal, so every spelling of one ring gets
+one id and one hash.  Unknown fields are rejected.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from .caps import Caps
 from .errors import SpecError
 from .modules import FiniteModule, custom_module, direct_sum, quotient, regular_module, submodule_generated
 from .rings import (
-    FiniteRing, ring_from_tables, ring_gf, ring_matrix, ring_poly_quot, ring_product, ring_triangular, ring_zmod,
+    FiniteRing, monomial_ideal, monomial_label, ring_from_tables, ring_gf, ring_matrix, ring_poly_quot, ring_product,
+    ring_triangular, ring_zmod,
 )
 
 SPEC_VERSION = 1
@@ -143,6 +146,19 @@ def _check_kind(spec, kinds: dict, what: str) -> None:
         _check_kind(spec[key], kinds, what)
 
 
+def _canonical_ring(spec: dict) -> dict:
+    """The ring spec with each poly_quot ring's relations rewritten as the
+    minimal generators of their ideal, written as the ring's labels write
+    monomials, and its variables written out: dropping a generator may drop
+    the last mention of a variable the relations were read for."""
+    if spec["kind"] == "product":
+        return {**spec, "left": _canonical_ring(spec["left"]), "right": _canonical_ring(spec["right"])}
+    if spec["kind"] != "poly_quot":
+        return spec
+    variables, gens = monomial_ideal(spec["relations"], spec.get("variables"))
+    return {**spec, "variables": variables, "relations": [monomial_label(g, variables) for g in gens]}
+
+
 def normalize_spec(spec: dict) -> dict:
     _check_fields(spec, {"version", "ring", "module"}, "instance spec", {"ring", "module"})
     version = spec.get("version", SPEC_VERSION)
@@ -150,7 +166,7 @@ def normalize_spec(spec: dict) -> dict:
         raise SpecError(f"unsupported spec version {version!r}")
     _check_kind(spec["ring"], RING_KINDS, "ring")
     _check_kind(spec["module"], MODULE_KINDS, "module")
-    out = {"version": SPEC_VERSION, "ring": spec["ring"], "module": spec["module"]}
+    out = {"version": SPEC_VERSION, "ring": _canonical_ring(spec["ring"]), "module": spec["module"]}
     return json.loads(dumps_spec(out))
 
 
@@ -216,9 +232,9 @@ def instance_name(spec: dict) -> str:
 class Instance:
     """The ring and module of a normalized spec, each built on first read."""
 
-    def __init__(self, spec: dict, caps: Caps | None = None):
+    def __init__(self, spec: dict, caps: Caps = Caps()):
         self.spec = spec
-        self.caps = caps or Caps()
+        self.caps = caps
         self.instance_id = instance_name(spec)
 
     @cached_property
@@ -234,7 +250,7 @@ class Instance:
         return spec_hash(self.spec)
 
 
-def build_instance(spec: dict, caps: Caps | None = None) -> Instance:
+def build_instance(spec: dict, caps: Caps = Caps()) -> Instance:
     instance = Instance(normalize_spec(spec), caps)
     instance.module  # built now, so a cap or a bad table raises here
     return instance

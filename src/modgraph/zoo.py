@@ -127,9 +127,9 @@ def family_specs(max_ring_size: int) -> list[dict]:
 class InstanceContext:
     """Per-instance cache of the submodule lattice and the intersection graph."""
 
-    def __init__(self, instance: Instance, caps: Caps | None = None):
+    def __init__(self, instance: Instance, caps: Caps = Caps()):
         self.instance = instance
-        self.caps = caps or Caps()
+        self.caps = caps
         self._lattice: Lattice | None = None
         self._refusal: CapExceeded | None = None
         self._graph: IntersectionGraph | None = None
@@ -167,7 +167,7 @@ class InstanceContext:
         return self._graph
 
 
-def contexts(specs, caps: Caps | None = None, predicate=None) -> Iterator[InstanceContext]:
+def contexts(specs, caps: Caps = Caps(), predicate=None) -> Iterator[InstanceContext]:
     """One context per spec, in order, each instance built when it is reached.
 
     An instance past a cap is yielded unbuilt, and its lattice raises the cap

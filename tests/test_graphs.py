@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from modgraph import solvers
 from modgraph.caps import Caps
-from modgraph.errors import StructureError
+from modgraph.errors import CapExceeded, StructureError
 from modgraph.graphs import (
     ApplicabilityFailure,
     Coloring,
@@ -83,6 +83,20 @@ def test_null_iff_unique_or_pair_of_simples(named_contexts):
             if a < b
         )
         assert g.is_null_graph() == (g.n == 1 or pair), ctx.instance_id
+
+
+@pytest.mark.parametrize("solve", ["complement_clique_number", "complement_chromatic"])
+def test_vertex_cap_is_checked_before_the_complement_is_built(monkeypatch, solve):
+    g = graph_of(vector_space(2, 1, 4))
+    assert g.n == 65  # one past the default cap
+
+    def no_complement():
+        raise AssertionError("the complement rows were built before the cap check")
+
+    monkeypatch.setattr(g, "complement_adj", no_complement)
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="max_exact_vertices=64"):
+            getattr(g, solve)()
 
 
 def test_complement_clique_bounded_by_complement_chromatic(named_contexts):

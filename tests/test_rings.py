@@ -5,6 +5,7 @@ from modgraph import fields, rings, specs
 from modgraph.caps import Caps
 from modgraph.errors import CapExceeded, ConstructionError
 from modgraph.fields import gf_tables
+from modgraph.lattice import enumerate_submodules
 from modgraph.modules import direct_sum, regular_module
 from modgraph.rings import (
     parse_monomial,
@@ -156,14 +157,29 @@ def test_size_cap():
         (lambda c: regular_module(ring_zmod(9), caps=c), "max_ring_size=8"),
         (lambda c: direct_sum(*[regular_module(ring_zmod(3))] * 2, caps=c), "max_ring_size=8"),
         (lambda c: max_clique(9, [0] * 9, caps=c), "max_exact_vertices=8"),
+        # F2 + F2 has five subspaces
+        (lambda c: enumerate_submodules(direct_sum(*[regular_module(ring_gf(2, 1))] * 2), c.override(max_submodules=4)),
+         "max_submodules=4"),
+        (lambda c: ring_gf(11, 1, caps=c), "max_ring_size=8"),
+        # at least 1, x, y and z lie outside the ideal: 2^4 elements
+        (lambda c: ring_poly_quot(2, ["x^2", "y^2", "z^2"], caps=c), "max_ring_size=8"),
     ],
     ids=["zmod", "gf", "matrix", "triangular", "product", "poly_quot", "table",
-         "module", "direct_sum", "solver"],
+         "module", "direct_sum", "solver", "submodules", "characteristic", "quotient-bound"],
 )
 def test_every_cap_names_its_field(build, field):
     caps = Caps(max_ring_size=8, max_exact_vertices=8)
     with pytest.raises(CapExceeded, match=field):
         build(caps)
+
+
+def test_quotient_cap_is_checked_before_the_exponent_box_is_formed(monkeypatch):
+    def no_box(*args):
+        raise AssertionError("the exponent box was formed before the cap check")
+
+    monkeypatch.setattr(rings, "product", no_box)
+    with pytest.raises(CapExceeded, match="quotient ring size >= 2048 exceeds cap max_ring_size=1024"):
+        ring_poly_quot(2, ["x^100000", "y^2"])
 
 
 def test_zmod_cap_is_checked_before_any_table(monkeypatch):

@@ -36,6 +36,25 @@ def test_normalize_round_trips_byte_identically():
     assert spec_hash(normalized) == spec_hash(normalize_spec(json.loads(dumps_spec(normalized))))
 
 
+@pytest.mark.parametrize("spelling", [["x^02"], ["x*x"], ["x^3", "x^2"], ["x^2", "x^2"]])
+def test_one_poly_quot_ring_has_one_spec_whatever_its_spelling(spelling):
+    def spec(relations, **variables):
+        return normalize_spec({"ring": {"kind": "poly_quot", "p": 2, "relations": relations, **variables},
+                               "module": {"kind": "regular"}})
+
+    canonical = spec(["x^2"], variables=["x"])
+    assert canonical["ring"]["relations"] == ["x^2"] and canonical["ring"]["variables"] == ["x"]
+    assert spec(spelling) == spec(["x^2"]) == canonical
+    assert instance_name(spec(spelling)) == instance_name(canonical) == "polyquot(F2,x^2)/regular"
+    assert spec_hash(spec(spelling)) == spec_hash(canonical)
+
+
+def test_poly_quot_relations_normalize_to_minimal_generators_in_descending_order():
+    ring = normalize_spec({"ring": {"kind": "poly_quot", "p": 3, "relations": ["y^2", "y*x^3", "x*y", "x^2*y", "x^2"]},
+                           "module": {"kind": "regular"}})["ring"]
+    assert ring["variables"] == ["x", "y"] and ring["relations"] == ["x^2", "x*y", "y^2"]
+
+
 def test_unknown_fields_rejected():
     with pytest.raises(SpecError):
         normalize_spec({**Z12_SPEC, "extra": 1})
@@ -184,6 +203,8 @@ BAD_SPECS = {
     "exponent-missing": {"kind": "poly_quot", "p": 2, "relations": ["x^"], "variables": ["x"]},
     "exponent-past-digit-limit": {"kind": "poly_quot", "p": 2, "relations": ["x^" + "9" * 5000], "variables": ["x"]},
     "variables-repeated": {"kind": "poly_quot", "p": 2, "relations": ["x^2"], "variables": ["x", "x"]},
+    # x*y lies in (x), but y still needs a pure power
+    "variable-only-in-a-redundant-relation": {"kind": "poly_quot", "p": 2, "relations": ["x", "x*y"]},
 }
 
 
@@ -269,7 +290,7 @@ def test_cli_family_bound_below_two_exits_two(family, capsys):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
-@pytest.mark.parametrize("check_ids", ["C99-nope", "C1-pair-count,C1-pair-count", "C1-pair-count,"])
+@pytest.mark.parametrize("check_ids", ["C99-nope", "C1-pair-count,C1-pair-count", "C1-pair-count,", ""])
 def test_cli_bad_check_ids_exit_two_without_traceback(check_ids):
     proc = subprocess.run(
         [sys.executable, "-m", "modgraph.cli", "verify", "--family", "size:2", "--check", check_ids],
