@@ -54,9 +54,9 @@ class Caps:
         return size
 
     def check_submodules(self, count: int) -> None:
-        """Refuse a lattice of count members or more."""
+        """Refuse a lattice once count, the members found so far, passes the cap."""
         if count > self.max_submodules:
-            raise CapExceeded(f"more than max_submodules={self.max_submodules} submodules; raise the cap to proceed")
+            raise CapExceeded(f"at least {count} submodules exceed cap max_submodules={self.max_submodules}")
 
     def check_vertices(self, n: int) -> None:
         """Refuse an exact solve on a graph of n vertices."""

@@ -2,11 +2,12 @@
 
 One function per statement family; each takes a per-instance context and
 returns a Verdict with status PASS, FAIL (with a replayable witness),
-VACUOUS (hypotheses unmet), or APPLICABILITY-FAILED (a structural
-construction did not apply even though the statement itself verified).
-A check names neither itself nor the instance: run_suite stamps each verdict
-with the check id it is registered under in ALL_CHECKS and the instance id,
-and turns a cap hit into a SKIPPED verdict.
+VACUOUS (hypotheses unmet), or APPLICABILITY-FAILED (C8 only: its
+structural complement coloring did not apply even though the statement
+itself verified).  A check names neither itself nor the instance: run_suite
+stamps each verdict with the check id it is registered under in ALL_CHECKS
+and the instance id, and turns a cap hit into a SKIPPED verdict.  C6 and C7
+decide by the overlines they verify, and call no exact solver.
 
 Statements whose hypotheses demand infinite cardinalities are checked at the
 level of their finite combinatorial content; pure-infinitude clauses are
@@ -31,7 +32,7 @@ from .graphs import (
     homogeneous_socle_pair,
 )
 from .lattice import Lattice, find_double_simple_image, ideal_product, prime_radical
-from .solvers import iter_bits
+from .solvers import is_proper_coloring, iter_bits
 from .zoo import InstanceContext
 
 PASS = "PASS"
@@ -328,59 +329,82 @@ def check_structured_shapes(ctx: InstanceContext) -> Verdict:
     return Verdict(PASS if ok else FAIL, witness, details)
 
 
-# -- C6: trichotomy and maximal cliques under a homogeneous socle pair -----------
+# -- C6 and C7: the overlines of a homogeneous socle pair -------------------------
 
 
-def check_socle_cliques(ctx: InstanceContext) -> Verdict:
-    """Vertices N outside the socle have simple traces N & Soc(M), equal when
-    they meet, and the maximal cliques are the overlines.  Soc(N) = N & Soc(M),
-    so the trace is simple exactly when N is uniform, and is then N's one atom."""
-    g, lat = ctx.graph, ctx.lattice
-    structure = homogeneous_socle_pair(lat)
-    if structure is None:
-        return Verdict(VACUOUS)
-    details: dict = {}
-    outside = (1 << g.n) - 1 & ~g.vertices_of(lat.above(structure["socle"]))
+def _overline_cliques(g: IntersectionGraph, lat: Lattice, socle: int) -> list[int] | str:
+    """The atoms' overlines, in atom order, as vertex bitsets, once three
+    facts are verified; else the witness of the first fact that fails.
+
+    1. Every vertex N outside the socle is uniform.  Soc(N) = N & Soc(M), so
+       its socle trace is simple exactly then, and is N's one atom.
+    2. Two outside vertices meet only when they share their atom.
+    3. Each overline, the vertices containing an atom, is a clique of g.adj.
+
+    Then the maximal cliques are the overlines.  A vertex above the socle
+    holds every atom, so it lies in every overline.  Each overline holds its
+    atom, which is outside, so it is strictly larger than the above-socle
+    part, and by 3 a clique of above-socle vertices alone is not maximal.  So
+    a maximal clique holds an outside vertex, by 2 its outside vertices share
+    one atom a, and all its vertices lie in the overline of a, a clique by 3:
+    the clique is that overline.  Each overline is maximal: a vertex outside
+    it does not hold a, so it is an outside vertex over another atom, and by
+    2 it misses a.
+    """
+    outside = (1 << g.n) - 1 & ~g.vertices_of(lat.above(socle))
     for v in iter_bits(outside):
         if not g.vertex_is_uniform(v):
-            return Verdict(FAIL, f"socle trace of {g.vertex_label(v)} is not simple")
+            return f"socle trace of {g.vertex_label(v)} is not simple"
     for v in iter_bits(outside):
         (atom,) = lat.covers_in(lat.zero_index, v + 1)
         # the outside vertices u > v meeting v and not containing its atom
         other = g.adj[v] & outside & ~g.vertices_of(lat.above(atom)) & ~((2 << v) - 1)
         if other:
-            return Verdict(
-                FAIL,
+            return (
                 f"intersecting pair with distinct socle traces: "
-                f"{g.vertex_label(v)}, {g.vertex_label((other & -other).bit_length() - 1)}",
+                f"{g.vertex_label(v)}, {g.vertex_label((other & -other).bit_length() - 1)}"
             )
-    got = {frozenset(c) for c in g.maximal_cliques(ctx.caps)}
-    want = {frozenset(g.overline(a)) for a in g.simple_vertices()}
-    details["maximal_cliques"] = len(got)
-    if got != want:
-        return Verdict(FAIL, f"maximal cliques != containment cliques ({len(got)} vs {len(want)})", details)
-    return Verdict(PASS, None, details)
+    atoms = lat.atom_indices()
+    overlines = [g.vertices_of(lat.above(a)) for a in atoms]
+    for a, over in zip(atoms, overlines):
+        for v in iter_bits(over):
+            missed = over & ~g.adj[v] & ~(1 << v)
+            if missed:
+                return (
+                    f"overline of {lat.describe(a)} is not a clique: "
+                    f"{g.vertex_label(v)}, {g.vertex_label((missed & -missed).bit_length() - 1)} do not meet"
+                )
+    return overlines
 
 
-# -- C7: clique number equals chromatic number under the socle structure ----------
+def check_socle_cliques(ctx: InstanceContext) -> Verdict:
+    """Under a homogeneous socle pair, the maximal cliques are the overlines."""
+    g, lat = ctx.graph, ctx.lattice
+    structure = homogeneous_socle_pair(lat)
+    if structure is None:
+        return Verdict(VACUOUS)
+    overlines = _overline_cliques(g, lat, structure["socle"])
+    if isinstance(overlines, str):
+        return Verdict(FAIL, overlines)
+    return Verdict(PASS, None, {"maximal_cliques": len(overlines)})
 
 
 def check_overline_coloring(ctx: InstanceContext) -> Verdict:
+    """Under a homogeneous socle pair, omega = chi = k, the size of the
+    largest overline: that overline is a clique, so omega >= k; the overline
+    coloring, checked proper with k colors, gives chi <= k; omega <= chi."""
     g, lat = ctx.graph, ctx.lattice
-    if homogeneous_socle_pair(lat) is None:
+    structure = homogeneous_socle_pair(lat)
+    if structure is None:
         return Verdict(VACUOUS)
-    omega, _ = g.clique_number(ctx.caps)
-    chi, _ = g.chromatic(ctx.caps)
-    details = {"omega": omega, "chi": chi}
-    if omega != chi:
-        return Verdict(FAIL, f"omega={omega} != chi={chi}", details)
-    result = color_by_overline(g)
-    if isinstance(result, ApplicabilityFailure):
-        details["construction"] = result.reason
-        return Verdict(APPLICABILITY_FAILED, result.witness, details)
-    details["construction_colors"] = result.count
-    if result.count != omega:
-        return Verdict(FAIL, f"construction used {result.count} colors but omega={omega}", details)
+    overlines = _overline_cliques(g, lat, structure["socle"])
+    if isinstance(overlines, str):
+        return Verdict(FAIL, overlines)
+    k = max(map(int.bit_count, overlines))
+    colors = color_by_overline(g, overlines, structure["socle"]).assignment
+    details = {"omega": k, "chi": k, "construction_colors": k}
+    if len(set(colors)) != k or not is_proper_coloring(g.n, g.adj, colors):
+        return Verdict(FAIL, f"overline coloring is not a proper {k}-coloring", details)
     return Verdict(PASS, None, details)
 
 
@@ -603,11 +627,14 @@ def run_suite(contexts, check_ids=None, caps: Caps = Caps()):
 
     Returns (reports, summary); reports are ordered by (instance, check).
     Each report carries the id its check is registered under in ALL_CHECKS.
-    An unknown or repeated check id raises SpecError before any instance is
-    read.  Per-instance cap errors become SKIPPED entries rather than
-    aborting.  Each context carries its own caps, so caps is not read here.
+    check_ids None selects every check; an empty selection, or an unknown or
+    repeated check id, raises SpecError before any instance is read.
+    Per-instance cap errors become SKIPPED entries rather than aborting.
+    Each context carries its own caps, so caps is not read here.
     """
-    ids = list(check_ids) if check_ids else list(ALL_CHECKS)
+    ids = list(ALL_CHECKS) if check_ids is None else list(check_ids)
+    if not ids:
+        raise SpecError(f"no check id selected; known: {', '.join(ALL_CHECKS)}")
     for i, cid in enumerate(ids):
         if cid not in ALL_CHECKS or cid in ids[:i]:
             problem = "repeated" if cid in ALL_CHECKS else "unknown"

@@ -10,9 +10,10 @@ elements, sum |N_i| ORs in all instead of a test per vertex pair.  The
 degrees are stored when the rows are built, and the shape tests read them
 (a star is the degree sequence n - 1 ones and n - 1).  Containment is read
 off the lattice's up-sets, shifted by one to vertex numbering: the overline
-of a simple vertex is its up-set, and meeting in 0 is non-adjacency.  Walks
-run on the adjacency bitsets a whole frontier at a time (one step ORs the
-masks of every frontier vertex), which gives connectivity.
+of an atom, the vertices containing it, is its up-set, and meeting in 0 is
+non-adjacency.  Walks run on the adjacency bitsets a whole frontier at a
+time (one step ORs the masks of every frontier vertex), which gives
+connectivity.
 The diameter first tests "diameter <= 2" directly: for each vertex, OR the
 rows of its neighbours, highest degree first, until every vertex is
 reached; only when some vertex falls short (diameter >= 3, a disconnected
@@ -21,8 +22,9 @@ soon as a triangle exists, and only triangle-free graphs get a per-vertex
 BFS.  Exact invariants delegate to the branch-and-bound solvers; each graph
 tests the vertex cap before anything is built, solves omega, omega_c, chi and
 chi_c once, and starts chi and chi_c from the omega and omega_c witnesses.
-The two structural coloring schemes never return an improper coloring,
-reporting an applicability failure instead.
+The overline coloring trusts the overlines its caller verified; the
+uniform-clique complement coloring reports an applicability failure in
+place of an improper coloring.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import reduce
 from operator import or_
 
 from .caps import Caps
-from .errors import ConstructionError, StructureError
+from .errors import ConstructionError
 from .lattice import Lattice
 from .solvers import (
     by_degree,
@@ -42,7 +44,6 @@ from .solvers import (
     is_proper_coloring,
     iter_bits,
     max_clique,
-    max_cliques,
 )
 
 INF = math.inf
@@ -117,9 +118,6 @@ class IntersectionGraph:
 
     def clique_number(self, caps: Caps = Caps()) -> tuple[int, list[int]]:
         return self._solve_once("omega", lambda: max_clique(self.n, self.adj, caps), caps)
-
-    def maximal_cliques(self, caps: Caps = Caps()) -> list[list[int]]:
-        return max_cliques(self.n, self.adj, caps)
 
     def chromatic(self, caps: Caps = Caps()) -> tuple[int, Coloring]:
         return self._solve_once("chi", lambda: self._color(self.adj, self.clique_number(caps)[1], caps), caps)
@@ -253,15 +251,6 @@ class IntersectionGraph:
     def vertex_is_uniform(self, v: int) -> bool:
         return self.lattice.is_uniform(v + 1)
 
-    def simple_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if self.vertex_is_simple(v)]
-
-    def overline(self, v: int) -> list[int]:
-        """All vertices containing the simple vertex v, its up-set; always a clique."""
-        if not self.vertex_is_simple(v):
-            raise StructureError("overline is defined for simple vertices only")
-        return list(iter_bits(self.vertices_of(self.lattice.above(v + 1))))
-
     def vertex_label(self, v: int) -> str:
         return self.lattice.describe(v + 1)
 
@@ -325,44 +314,22 @@ def homogeneous_socle_pair(lattice: Lattice) -> dict | None:
     return {"socle": soc, "pair": pair}
 
 
-def color_by_overline(graph: IntersectionGraph) -> Coloring | ApplicabilityFailure:
-    """Structural coloring when the socle is a homogeneous direct pair.
-
-    One maximal containment clique over a simple N gets distinct colors;
-    every other simple reuses the colors of that clique outside the
-    above-socle part.  Proper with clique-number many colors whenever the
-    disjointness facts behind the scheme hold.
-    """
-    lat = graph.lattice
-    structure = homogeneous_socle_pair(lat)
-    if structure is None:
-        raise StructureError("socle is not an essential homogeneous direct pair of simples")
-    above = graph.vertices_of(lat.above(structure["socle"]))
-    atom_vertices = graph.simple_vertices()
-    over = {a: graph.overline(a) for a in atom_vertices}
-    star = max(atom_vertices, key=lambda a: len(over[a]))
+def color_by_overline(graph: IntersectionGraph, overlines: list[int], socle: int) -> Coloring:
+    """Color by the overlines (vertex bitsets) of a homogeneous socle pair:
+    the largest gets distinct colors, and each other overline reuses, in
+    vertex order, its colors outside the socle's up-set, which all overlines
+    share.  Proper, with as many colors as the largest overline has vertices,
+    for the overlines checks._overline_cliques verifies; callers check it."""
+    above = graph.vertices_of(graph.lattice.above(socle))
+    star = max(overlines, key=int.bit_count)
     colors = [-1] * graph.n
-    for c, v in enumerate(over[star]):
+    for c, v in enumerate(iter_bits(star)):
         colors[v] = c
-    pool = [colors[v] for v in over[star] if not above >> v & 1]
-    for a in atom_vertices:
-        if a == star:
-            continue
-        rest = [v for v in over[a] if not above >> v & 1]
-        if len(rest) > len(pool):
-            return ApplicabilityFailure(
-                "containment clique larger than the chosen one",
-                witness=graph.vertex_label(a),
-            )
-        for v, c in zip(rest, pool):
+    pool = [colors[v] for v in iter_bits(star & ~above)]
+    for over in overlines:
+        for v, c in zip(iter_bits(over & ~above), pool):
             colors[v] = c
-    if any(c < 0 for c in colors):
-        v = colors.index(-1)
-        return ApplicabilityFailure("vertex not covered by any containment clique",
-                                    witness=graph.vertex_label(v))
-    if not is_proper_coloring(graph.n, graph.adj, colors):
-        return ApplicabilityFailure("scheme produced an improper coloring")
-    return Coloring(tuple(colors), len(over[star]), "overline")
+    return Coloring(tuple(colors), star.bit_count(), "overline")
 
 
 def color_complement_by_uniform_clique(

@@ -51,7 +51,7 @@ def test_no_caps_parameter_defaults_to_none():
         (lambda c, x: c.check_size(x, "ring"), 8, "ring size 9 exceeds cap max_ring_size=8"),
         (lambda c, x: c.check_characteristic(x), 8, "characteristic exceeds cap max_ring_size=8"),
         (lambda c, x: c.capped_power(2, x, "field"), 3, "field size >= 16 exceeds cap max_ring_size=8"),
-        (lambda c, x: c.check_submodules(x), 4, "more than max_submodules=4 submodules; raise the cap to proceed"),
+        (lambda c, x: c.check_submodules(x), 4, "at least 5 submodules exceed cap max_submodules=4"),
         (lambda c, x: c.check_vertices(x), 2, "3 vertices exceeds the exact-solver cap max_exact_vertices=2"),
     ],
     ids=["size", "characteristic", "power", "submodules", "vertices"],

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from modgraph import checks, graphs, lattice, modules, rings
+from modgraph import checks, graphs, lattice, modules, rings, solvers
+from modgraph.caps import Caps
 from modgraph.checks import (
     ALL_CHECKS,
     APPLICABILITY_FAILED,
@@ -130,9 +131,14 @@ def test_c6_matches_overlines(ctx_by_id):
     assert check_socle_cliques(ctx_by_id["zmod(12)/regular"]).status == VACUOUS
 
 
+def _overline_checks(ctx):
+    return check_socle_cliques(ctx), check_overline_coloring(ctx)
+
+
 def test_c6_fails_at_an_outside_vertex_that_is_not_uniform(monkeypatch, named_contexts):
-    # C6 reads "the socle trace of N is simple" as "N is uniform"; a vertex
-    # not containing the socle that loses uniformity must be named in a FAIL
+    # C6 and C7 read "the socle trace of N is simple" as "N is uniform"; a
+    # vertex not containing the socle that loses uniformity must be named in
+    # a FAIL by both
     mutated = 0
     for ctx in named_contexts:
         if check_socle_cliques(ctx).status != PASS:
@@ -145,12 +151,99 @@ def test_c6_fails_at_an_outside_vertex_that_is_not_uniform(monkeypatch, named_co
             if lat.leq(soc, v + 1):
                 continue
             monkeypatch.setattr(lat, "is_uniform", lambda i, bad=v + 1: i != bad and real(i))
-            report = check_socle_cliques(fresh)
+            reports = _overline_checks(fresh)
             monkeypatch.undo()
-            assert report.status == FAIL, (ctx.instance_id, v)
-            assert report.witness == f"socle trace of {g.vertex_label(v)} is not simple"
+            want = (FAIL, f"socle trace of {g.vertex_label(v)} is not simple")
+            assert [(r.status, r.witness) for r in reports] == [want] * 2, (ctx.instance_id, v)
             mutated += 1
     assert mutated >= 10
+
+
+def test_c6_and_c7_fail_at_a_tampered_adjacency(named_contexts):
+    # facts 2 and 3 of _overline_cliques read the adjacency: each is broken
+    # once on a copy of it, and C6 and C7 must both FAIL with its witness
+    broken = Counter()
+    for ctx in named_contexts:
+        if check_socle_cliques(ctx).status != PASS:
+            continue
+        lat, g = ctx.lattice, ctx.graph
+        above = g.vertices_of(lat.above(lat.socle_index()))
+        outside = [v for v in range(g.n) if not above >> v & 1]
+        atom_of = {v: lat.covers_in(lat.zero_index, v + 1)[0] for v in outside}
+
+        def tampered(adj):
+            fresh = InstanceContext(ctx.instance, ctx.caps)
+            fresh.graph.adj = adj
+            return fresh
+
+        # 2: two outside vertices over distinct atoms made to meet
+        u, w = next((u, w) for u in outside for w in outside if u < w and atom_of[u] != atom_of[w])
+        adj = list(g.adj)
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
+        want = f"intersecting pair with distinct socle traces: {g.vertex_label(u)}, {g.vertex_label(w)}"
+        assert [(r.status, r.witness) for r in _overline_checks(tampered(adj))] == [(FAIL, want)] * 2
+        broken[2] += 1
+        # 3: an overline loses the edge from its atom to a vertex above it
+        wide = [a for a in lat.atom_indices() if g.vertices_of(lat.above(a)).bit_count() > 1]
+        if not wide:  # the socle is M: every overline is its atom alone
+            continue
+        a = wide[0]
+        x, y = a - 1, next(v for v in solvers.iter_bits(g.vertices_of(lat.above(a))) if v != a - 1)
+        adj = list(g.adj)
+        adj[x] &= ~(1 << y)
+        adj[y] &= ~(1 << x)
+        lo, hi = sorted((x, y))
+        want = f"overline of {lat.describe(a)} is not a clique: {g.vertex_label(lo)}, {g.vertex_label(hi)} do not meet"
+        assert [(r.status, r.witness) for r in _overline_checks(tampered(adj))] == [(FAIL, want)] * 2
+        broken[3] += 1
+    assert broken == {2: 14, 3: 7}
+
+
+def test_c6_and_c7_pass_past_the_vertex_cap(named_reports):
+    # they read no vertex cap: with the cap at 0 they report as under the default
+    capped, summary = run_suite(
+        contexts(named_instance_specs(), Caps(max_exact_vertices=0)),
+        ["C6-socle-cliques", "C7-overline-coloring"],
+    )
+    default = [r for r in named_reports[0] if r.check_id in ("C6-socle-cliques", "C7-overline-coloring")]
+    assert reports_to_jsonl(capped) == reports_to_jsonl(default)
+    assert summary.counts == {cid: {PASS: 14, VACUOUS: 11} for cid in ("C6-socle-cliques", "C7-overline-coloring")}
+
+
+def test_c6_and_c7_call_no_exact_solver(monkeypatch, named_contexts):
+    def solved(*args):
+        raise AssertionError("an exact solver ran")
+
+    for real in (solvers.max_clique, solvers.max_cliques, solvers.chromatic_number):
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("modgraph") and getattr(mod, real.__name__, None) is real:
+                monkeypatch.setattr(mod, real.__name__, solved)
+    fresh = [InstanceContext(ctx.instance, ctx.caps) for ctx in named_contexts]
+    reports, summary = run_suite(fresh, ["C6-socle-cliques", "C7-overline-coloring"])
+    assert {cid: counts.get(PASS) for cid, counts in summary.counts.items()} == {
+        "C6-socle-cliques": 14, "C7-overline-coloring": 14,
+    }
+    assert not summary.failed
+
+
+def test_c6_overlines_are_the_bron_kerbosch_cliques(named_contexts, family16_contexts):
+    # the certificate against an exact enumeration of the maximal cliques,
+    # with the vertex cap lifted, on the zoo, the census and R+R over it
+    pair = {"kind": "direct_sum", "left": {"kind": "regular"}, "right": {"kind": "regular"}}
+    sums = contexts(make_spec(spec["ring"], pair) for spec in family_specs(16))
+    compared = 0
+    for ctx in [*named_contexts, *family16_contexts, *sums]:
+        rep = check_socle_cliques(ctx)
+        if rep.status != PASS:
+            continue
+        g, lat = ctx.graph, ctx.lattice
+        overlines = checks._overline_cliques(g, lat, lat.socle_index())
+        cliques = solvers.max_cliques(g.n, g.adj, Caps(max_exact_vertices=g.n))
+        assert {sum(1 << v for v in c) for c in cliques} == set(overlines), ctx.instance_id
+        assert rep.details["maximal_cliques"] == len(cliques)
+        compared += 1
+    assert compared == 14 + 3 + 18
 
 
 def _detached_section_by_meets(lat, n_idx, s_idx):
@@ -284,6 +377,12 @@ def test_summary_rendering(named_reports):
 def test_unknown_check_id_rejected(named_contexts):
     with pytest.raises(SpecError, match="unknown check id 'C99-nope'"):
         run_suite(named_contexts[:1], ["C99-nope"])
+
+
+def test_empty_check_selection_rejected():
+    # only None selects every check
+    with pytest.raises(SpecError, match="no check id selected"):
+        run_suite(contexts(family_specs(4)), [])
 
 
 def test_repeated_check_id_rejected(named_contexts):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modgraph import solvers
+from modgraph import checks, solvers
 from modgraph.caps import Caps
-from modgraph.errors import CapExceeded, StructureError
+from modgraph.errors import CapExceeded
 from modgraph.graphs import (
     ApplicabilityFailure,
     Coloring,
@@ -20,6 +20,7 @@ from modgraph.graphs import (
 from modgraph.lattice import enumerate_submodules
 from modgraph.modules import direct_sum, regular_module
 from modgraph.rings import ring_gf, ring_zmod
+from modgraph.solvers import iter_bits
 
 from .oracles import (
     brute_adjacency,
@@ -295,11 +296,26 @@ def test_triangle_free_agrees_with_clique_number(named_contexts):
         assert g.is_triangle_free() == (g.clique_number()[0] <= 2)
 
 
+def atom_overlines(g):
+    """Each atom's overline, the vertices containing it, keyed by the atom's vertex."""
+    lat = g.lattice
+    return {a - 1: list(iter_bits(g.vertices_of(lat.above(a)))) for a in lat.atom_indices()}
+
+
+def verified_overlines(module):
+    """The graph, its overlines as checks._overline_cliques verifies them, and the socle."""
+    lat = enumerate_submodules(module)
+    g = build_graph(lat)
+    socle = homogeneous_socle_pair(lat)["socle"]
+    overlines = checks._overline_cliques(g, lat, socle)
+    assert isinstance(overlines, list), overlines
+    return g, overlines, socle
+
+
 def test_overline_is_a_clique(named_contexts):
     for ctx in named_contexts:
         g = ctx.graph
-        for v in g.simple_vertices():
-            over = g.overline(v)
+        for v, over in atom_overlines(g).items():
             assert v in over
             for i, a in enumerate(over):
                 for b in over[i + 1:]:
@@ -309,18 +325,29 @@ def test_overline_is_a_clique(named_contexts):
 def test_overline_examples(triangular_f4, f2_squared):
     g = graph_of(triangular_f4)
     # the simple inside T has overline {S', Soc, T}; the complements get {L, Soc}
-    sizes = sorted(len(g.overline(v)) for v in g.simple_vertices())
+    sizes = sorted(len(over) for over in atom_overlines(g).values())
     assert sizes == [2, 2, 2, 2, 3]
     g2 = graph_of(f2_squared)
-    for v in g2.simple_vertices():
-        assert g2.overline(v) == [v]
+    for v, over in atom_overlines(g2).items():
+        assert over == [v]
 
 
-def test_overline_requires_simple_vertex(z12_module):
-    g = graph_of(z12_module)
-    big = max(range(g.n), key=lambda v: g.vertices[v].size)
-    with pytest.raises(StructureError):
-        g.overline(big)
+def test_overline_requires_simple_vertex(named_contexts):
+    # the verified overlines are the up-sets of the simple vertices, in
+    # vertex order, and the one simple vertex in each is its own atom
+    checked = 0
+    for ctx in named_contexts:
+        g, lat = ctx.graph, ctx.lattice
+        structure = homogeneous_socle_pair(lat)
+        if structure is None:
+            continue
+        overlines = checks._overline_cliques(g, lat, structure["socle"])
+        simple = [v for v in range(g.n) if g.vertex_is_simple(v)]
+        assert overlines == [g.vertices_of(lat.above(v + 1)) for v in simple], ctx.instance_id
+        for v, over in zip(simple, overlines):
+            assert [u for u in iter_bits(over) if g.vertex_is_simple(u)] == [v]
+        checked += 1
+    assert checked == 14
 
 
 def test_homogeneous_socle_gate(z12_module, triangular_f4, f2_squared):
@@ -330,23 +357,30 @@ def test_homogeneous_socle_gate(z12_module, triangular_f4, f2_squared):
 
 
 def test_color_by_overline_on_triangular(triangular_f4):
-    g = graph_of(triangular_f4)
-    coloring = color_by_overline(g)
+    g, overlines, socle = verified_overlines(triangular_f4)
+    coloring = color_by_overline(g, overlines, socle)
     assert isinstance(coloring, Coloring)
-    assert coloring.count == 3 == g.clique_number()[0]
+    assert coloring.count == 3 == g.clique_number()[0] == len(set(coloring.assignment))
     assert brute_is_proper(g.n, g.adj, list(coloring.assignment))
 
 
 def test_color_by_overline_on_null_graph(f2_squared):
-    g = graph_of(f2_squared)
-    coloring = color_by_overline(g)
+    g, overlines, socle = verified_overlines(f2_squared)
+    coloring = color_by_overline(g, overlines, socle)
     assert isinstance(coloring, Coloring)
-    assert coloring.count == 1
+    assert coloring.count == 1 and coloring.assignment == (0,) * g.n
 
 
-def test_color_by_overline_requires_structure(z12_module):
-    with pytest.raises(StructureError):
-        color_by_overline(graph_of(z12_module))
+def test_color_by_overline_requires_structure(monkeypatch, ctx_by_id):
+    # the scheme trusts its overlines, so C7 colors only once the socle
+    # structure holds: without it C7 is VACUOUS and never colors
+    def colored(*args):
+        raise AssertionError("colored without a homogeneous socle pair")
+
+    monkeypatch.setattr(checks, "color_by_overline", colored)
+    ctx = ctx_by_id["zmod(12)/regular"]
+    assert homogeneous_socle_pair(ctx.lattice) is None
+    assert checks.check_overline_coloring(ctx).status == checks.VACUOUS
 
 
 def test_uniform_clique_complement_coloring_cases(triangular_f4, z2_x_z4):
