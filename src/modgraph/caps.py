@@ -4,7 +4,7 @@ Caps bound memory (operation tables are O(n^2)) and combinatorial blow-up.
 Callers pass a frozen `Caps` value, so one shared default serves every call.
 Each cap is tested by one `Caps` method, the only code that raises
 CapExceeded, and each refusal comes before the work it bounds: before a
-table, a batch of submodules or a complement row is built.  Every message
+table or a batch of submodules is built, or an exact search starts.  Every message
 names the field it hit, as `max_ring_size=<value>`.  Defaults can be
 overridden per call, via CLI flags, or with the env var
 MODGRAPH_CAPS="max_ring_size=512,max_submodules=10000,max_exact_vertices=32".

@@ -61,23 +61,19 @@ def cmd_graph(args) -> int:
 def cmd_invariants(args) -> int:
     ctx = _context_of(args)
     g, lat, caps = ctx.graph, ctx.lattice, ctx.caps
-    omega, _ = g.clique_number(caps)
-    chi, _ = g.chromatic(caps)
-    omega_c, _ = g.complement_clique_number(caps)
-    chi_c, _ = g.complement_chromatic(caps)
-    soc = lat.socle_index()
-    payload = {
+    payload = {  # the capped solves first, so a refusal comes before any other work
+        "omega": g.clique_number(caps)[0],
+        "chi": g.chromatic(caps)[0],
+        "omega_c": g.complement_clique_number()[0],
+        "chi_c": g.complement_chromatic()[0],
         **g.basic_invariants(),
         "instance": ctx.instance_id,
         "order": g.n,
-        "omega": omega,
-        "chi": chi,
-        "omega_c": omega_c,
-        "chi_c": chi_c,
-        "socle": {"size": lat.subs[soc].size, "generators": [lat.module.label(x) for x in lat.gens(soc)]},
         "goldie_dimension": lat.goldie_dimension()[0],
         "length": lat.composition_length(),
     }
+    soc = lat.socle_index()
+    payload["socle"] = {"size": lat.subs[soc].size, "generators": [lat.module.label(x) for x in lat.gens(soc)]}
     print(json.dumps(payload, sort_keys=True, indent=2))
     return EXIT_OK
 

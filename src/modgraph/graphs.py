@@ -19,9 +19,9 @@ rows of its neighbours, highest degree first, until every vertex is
 reached; only when some vertex falls short (diameter >= 3, a disconnected
 graph, or n <= 1) does it take the largest eccentricity.  Girth is 3 as
 soon as a triangle exists, and only triangle-free graphs get a per-vertex
-BFS.  Exact invariants delegate to the branch-and-bound solvers; each graph
-tests the vertex cap before anything is built, solves omega, omega_c, chi and
-chi_c once, and starts chi and chi_c from the omega and omega_c witnesses.
+BFS.  omega and chi are solved once each, under the vertex cap, by the
+branch-and-bound solvers, chi from the omega witness; omega_c = chi_c =
+#atoms is a certificate checked on the complement rows, and no search.
 The overline coloring trusts the overlines its caller verified; the
 uniform-clique complement coloring reports an applicability failure in
 place of an improper coloring.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from .caps import Caps
@@ -59,7 +59,7 @@ class GraphShape:
 class Coloring:
     assignment: tuple[int, ...]
     count: int
-    tag: str  # exact | greedy | overline | uniform-complement
+    tag: str  # exact | atom | overline | uniform-complement
     extra: dict = field(default_factory=dict)
 
 
@@ -109,7 +109,6 @@ class IntersectionGraph:
         return [full & ~self.adj[v] & ~(1 << v) for v in range(self.n)]
 
     def _solve_once(self, key: str, solve, caps: Caps):
-        # refused before solve() builds anything, such as the complement rows;
         # a remembered answer still honours the caller's cap
         caps.check_vertices(self.n)
         if key not in self._solved:
@@ -120,20 +119,40 @@ class IntersectionGraph:
         return self._solve_once("omega", lambda: max_clique(self.n, self.adj, caps), caps)
 
     def chromatic(self, caps: Caps = Caps()) -> tuple[int, Coloring]:
-        return self._solve_once("chi", lambda: self._color(self.adj, self.clique_number(caps)[1], caps), caps)
+        def solve():
+            k, colors = chromatic_number(self.n, self.adj, self.clique_number(caps)[1], caps)
+            return k, Coloring(tuple(colors), k, "exact")
+
+        return self._solve_once("chi", solve, caps)
+
+    @cached_property
+    def _atom_certificate(self) -> tuple[list[int], Coloring]:
+        """The atoms, as vertices, and each vertex colored by the first atom
+        below it, both checked on the complement rows: omega_c = chi_c = #atoms.
+        Distinct atoms meet in 0, so they are a clique of the complement.  Each
+        vertex holds an atom, and two vertices of one color meet in theirs.
+        A simple module has no vertex, and both are empty."""
+        lat, comp = self.lattice, self.complement_adj()
+        atoms = lat.atom_indices() if self.n else []
+        colors, rest = [0] * self.n, (1 << self.n) - 1
+        for c, over in enumerate(self.vertices_of(lat.above(a)) for a in atoms):
+            for v in iter_bits(over & rest):
+                colors[v] = c
+            rest &= ~over
+        clique = self.vertices_of(sum(1 << a for a in atoms))
+        if any(clique & ~comp[a - 1] & ~(1 << a - 1) for a in atoms) or not is_proper_coloring(self.n, comp, colors):
+            raise ConstructionError("the atoms are not a clique, or not a proper coloring, of the complement")
+        return [a - 1 for a in atoms], Coloring(tuple(colors), len(atoms), "atom")
 
     def complement_clique_number(self, caps: Caps = Caps()) -> tuple[int, list[int]]:
-        return self._solve_once("omega_c", lambda: max_clique(self.n, self.complement_adj(), caps), caps)
+        """omega_c and the atoms; caps is unused, as the certificate is no search."""
+        atoms, _ = self._atom_certificate
+        return len(atoms), atoms
 
     def complement_chromatic(self, caps: Caps = Caps()) -> tuple[int, Coloring]:
-        def solve():
-            return self._color(self.complement_adj(), self.complement_clique_number(caps)[1], caps)
-
-        return self._solve_once("chi_c", solve, caps)
-
-    def _color(self, adj: list[int], clique: list[int], caps: Caps) -> tuple[int, Coloring]:
-        k, colors = chromatic_number(self.n, adj, clique, caps)
-        return k, Coloring(tuple(colors), k, "exact")
+        """chi_c and the first-atom coloring; caps is unused, as for omega_c."""
+        _, coloring = self._atom_certificate
+        return coloring.count, coloring
 
     # -- walks -------------------------------------------------------------
 
@@ -300,18 +319,18 @@ def build_graph(lattice: Lattice) -> IntersectionGraph:
 # -- structural socle gate ----------------------------------------------------
 
 
-def homogeneous_socle_pair(lattice: Lattice) -> dict | None:
+def homogeneous_socle_pair(lattice: Lattice) -> int | None:
     """Detect Soc(M) = S + S' with S, S' isomorphic simples and Soc essential.
 
-    Returns {socle, pair} as lattice indices, or None when the structure is
-    absent.  This is the shared hypothesis of the clique/coloring statements.
-    Two distinct atoms of a length-2 socle are a direct pair, and they are
-    its only atoms unless they are isomorphic, so the first pair decides.
+    Returns the socle's lattice index, or None when the structure is absent.
+    This is the shared hypothesis of the clique/coloring statements.  Two
+    distinct atoms of a length-2 socle are a direct pair, and they are its
+    only atoms unless they are isomorphic, so the first pair decides.
     """
     pair, soc = lattice.socle_pair, lattice.socle_index()
     if pair is None or not lattice.is_essential(soc) or lattice.hom_count(*pair) < 2:
         return None
-    return {"socle": soc, "pair": pair}
+    return soc
 
 
 def color_by_overline(graph: IntersectionGraph, overlines: list[int], socle: int) -> Coloring:
@@ -332,37 +351,22 @@ def color_by_overline(graph: IntersectionGraph, overlines: list[int], socle: int
     return Coloring(tuple(colors), star.bit_count(), "overline")
 
 
-def color_complement_by_uniform_clique(
-    graph: IntersectionGraph,
-) -> Coloring | ApplicabilityFailure:
-    """Color the complement graph by least intersecting member of a maximal
-    clique of uniform vertices (greedy in canonical order).
-
-    Fails, with the witness vertex, when some vertex meets no clique member;
-    statement checks must then fall back to the exact solvers.
-    """
-    clique: list[int] = []
-    for v in range(graph.n):
-        if graph.vertex_is_uniform(v) and all((graph.adj[u] >> v) & 1 for u in clique):
-            clique.append(v)
-    extra = {"clique": tuple(clique)}
-    if graph.n == 0:
-        return Coloring((), 0, "uniform-complement", extra)
-    if not clique:
-        return ApplicabilityFailure("no uniform vertices", extra=extra)
-    raw = []
-    for v in range(graph.n):
-        hit = next((t for t, u in enumerate(clique) if u == v or graph.adj[u] >> v & 1), None)
-        if hit is None:
-            return ApplicabilityFailure(
-                "vertex meets no member of the uniform clique",
-                witness=graph.vertex_label(v),
-                extra=extra,
-            )
-        raw.append(hit)
-    used = sorted(set(raw))
-    renum = {t: i for i, t in enumerate(used)}
-    colors = [renum[t] for t in raw]
+def color_complement_by_uniform_clique(graph: IntersectionGraph) -> Coloring | ApplicabilityFailure:
+    """Color the complement by least intersecting member of the greedy clique
+    of uniform vertices, read off the first atom: vertex 0, a smallest
+    nonzero submodule, is an atom a.  A uniform vertex meets a only by
+    containing it, so the clique is the uniform vertices above a, and a
+    vertex meets a member exactly when it contains a.  So the vertices above
+    a take one color, and the scheme fails at the first vertex not above a."""
+    if graph.n == 0:  # a simple or zero module
+        return Coloring((), 0, "uniform-complement", {"clique": ()})
+    above = graph.vertices_of(graph.lattice.above(1))
+    extra = {"clique": tuple(v for v in iter_bits(above) if graph.vertex_is_uniform(v))}
+    missed = (1 << graph.n) - 1 & ~above
+    if missed:
+        witness = graph.vertex_label((missed & -missed).bit_length() - 1)
+        return ApplicabilityFailure("vertex meets no member of the uniform clique", witness, extra)
+    colors = (0,) * graph.n
     if not is_proper_coloring(graph.n, graph.complement_adj(), colors):
         return ApplicabilityFailure("scheme produced an improper complement coloring", extra=extra)
-    return Coloring(tuple(colors), len(used), "uniform-complement", extra)
+    return Coloring(colors, 1, "uniform-complement", extra)

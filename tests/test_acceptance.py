@@ -145,10 +145,24 @@ def test_criterion_08_complement_equality_and_gaps(all_contexts):
     tri_gap = any(r.instance_id == "triangular(F4,F2)/regular" for r in gaps)
     equal = [r for r in reports if r.status in (PASS, APPLICABILITY_FAILED)]
     all_equal = all(r.details["omega_c"] == r.details["chi_c"] for r in equal)
-    ok = not fails and all_equal and len(gaps) >= 1 and tri_gap
+    # C8 reads omega_c and chi_c off the atom certificate: the exact solvers,
+    # run on the complement rows, must agree with every value it reports
+    graphs = {ctx.instance_id: ctx.graph for ctx in all_contexts}
+    exact = True
+    for r in reports:
+        if "omega_c" not in r.details:
+            continue
+        g = graphs[r.instance_id]
+        comp = g.complement_adj()
+        omega_c, witness = max_clique(g.n, comp)
+        exact = exact and r.details["omega_c"] == omega_c
+        if "chi_c" in r.details:
+            exact = exact and r.details["chi_c"] == chromatic_number(g.n, comp, witness)[0]
+    ok = not fails and all_equal and exact and len(gaps) >= 1 and tri_gap
     _verdict(
         "08 complement equality", ok,
         f"{len(equal)} instances with omega<=omega_c, all omega_c=chi_c: {all_equal}; "
+        f"omega_c and chi_c matching the exact solvers: {exact}; "
         f"{len(gaps)} construction gaps (triangular(F4,F2) included: {tri_gap})",
     )
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modgraph import checks, solvers
+from modgraph import checks, graphs, solvers
 from modgraph.caps import Caps
-from modgraph.errors import CapExceeded
+from modgraph.errors import CapExceeded, ConstructionError
 from modgraph.graphs import (
     ApplicabilityFailure,
     Coloring,
@@ -21,13 +21,17 @@ from modgraph.lattice import enumerate_submodules
 from modgraph.modules import direct_sum, regular_module
 from modgraph.rings import ring_gf, ring_zmod
 from modgraph.solvers import iter_bits
+from modgraph.specs import make_spec
+from modgraph.zoo import contexts
 
 from .oracles import (
     brute_adjacency,
+    brute_chromatic,
     brute_distances,
     brute_girth,
     brute_is_proper,
     brute_is_star,
+    brute_max_clique,
     subspace_clique,
 )
 from .test_lattice import vector_space, zmod_sum
@@ -86,18 +90,63 @@ def test_null_iff_unique_or_pair_of_simples(named_contexts):
         assert g.is_null_graph() == (g.n == 1 or pair), ctx.instance_id
 
 
-@pytest.mark.parametrize("solve", ["complement_clique_number", "complement_chromatic"])
-def test_vertex_cap_is_checked_before_the_complement_is_built(monkeypatch, solve):
+def test_complement_invariants_need_no_search_and_no_cap(monkeypatch):
+    # omega_c = chi_c = #atoms is read off the atom certificate, so F2^4,
+    # one vertex past the default cap, gets both with the solvers gone
+    def searched(*args):
+        raise AssertionError("an exact solver ran on the complement")
+
+    monkeypatch.setattr(graphs, "max_clique", searched)
+    monkeypatch.setattr(graphs, "chromatic_number", searched)
     g = graph_of(vector_space(2, 1, 4))
     assert g.n == 65  # one past the default cap
+    assert g.complement_clique_number()[0] == g.complement_chromatic()[0] == 15
+    with pytest.raises(CapExceeded, match="max_exact_vertices=64"):
+        g.clique_number()
 
-    def no_complement():
-        raise AssertionError("the complement rows were built before the cap check")
 
-    monkeypatch.setattr(g, "complement_adj", no_complement)
-    for _ in range(2):
-        with pytest.raises(CapExceeded, match="max_exact_vertices=64"):
-            getattr(g, solve)()
+@pytest.mark.parametrize("fault", ["join two atoms", "part a vertex from its first atom"])
+def test_atom_certificate_is_checked_on_the_complement_rows(ctx_by_id, fault):
+    # one edge toggled in a copy of the adjacency: two atoms that meet are no
+    # clique of the complement, and a vertex that misses its first atom makes
+    # that atom's color improper, so the certificate refuses to answer
+    lat = ctx_by_id["triangular(F4,F2)/regular"].lattice
+    g = IntersectionGraph(lat)
+    u, v = (a - 1 for a in lat.atom_indices()[:2])
+    if fault != "join two atoms":
+        v = next(iter_bits(g.vertices_of(lat.above(u + 1)) & ~(1 << u)))
+    assert bool(g.adj[u] >> v & 1) == (fault != "join two atoms")
+    g.adj = list(g.adj)
+    g.adj[u] ^= 1 << v
+    g.adj[v] ^= 1 << u
+    for solve in (g.complement_clique_number, g.complement_chromatic):
+        with pytest.raises(ConstructionError, match="complement"):
+            solve()
+
+
+def test_atom_certificate_matches_brute_force_and_exact_solvers(named_contexts, family16_contexts):
+    # omega_c and chi_c of the certificate against the exact solvers, cap
+    # lifted, on every named, size:16 and R+R over size:16 graph, and against
+    # brute force on the complement of every named and size:16 graph of at
+    # most 10 vertices
+    selfsum = {"kind": "direct_sum", "left": {"kind": "regular"}, "right": {"kind": "regular"}}
+    sums = list(contexts([make_spec(c.instance.spec["ring"], selfsum) for c in family16_contexts]))
+    brute = 0
+    for ctx in [*named_contexts, *family16_contexts, *sums]:
+        g = ctx.graph
+        comp = g.complement_adj()
+        omega_c, atoms = g.complement_clique_number()
+        chi_c, coloring = g.complement_chromatic()
+        assert omega_c == chi_c == len(atoms) == coloring.count, ctx.instance_id
+        caps = Caps(max_exact_vertices=g.n)
+        omega, witness = solvers.max_clique(g.n, comp, caps)
+        assert omega == omega_c, ctx.instance_id
+        assert solvers.chromatic_number(g.n, comp, witness, caps)[0] == chi_c, ctx.instance_id
+        if g.n <= 10 and ctx not in sums:
+            assert brute_max_clique(g.n, comp)[0] == omega_c, ctx.instance_id
+            assert brute_chromatic(g.n, comp) == chi_c, ctx.instance_id
+            brute += 1
+    assert len(sums) == len(family16_contexts) and brute >= 70
 
 
 def test_complement_clique_bounded_by_complement_chromatic(named_contexts):
@@ -306,7 +355,7 @@ def verified_overlines(module):
     """The graph, its overlines as checks._overline_cliques verifies them, and the socle."""
     lat = enumerate_submodules(module)
     g = build_graph(lat)
-    socle = homogeneous_socle_pair(lat)["socle"]
+    socle = homogeneous_socle_pair(lat)
     overlines = checks._overline_cliques(g, lat, socle)
     assert isinstance(overlines, list), overlines
     return g, overlines, socle
@@ -338,10 +387,10 @@ def test_overline_requires_simple_vertex(named_contexts):
     checked = 0
     for ctx in named_contexts:
         g, lat = ctx.graph, ctx.lattice
-        structure = homogeneous_socle_pair(lat)
-        if structure is None:
+        socle = homogeneous_socle_pair(lat)
+        if socle is None:
             continue
-        overlines = checks._overline_cliques(g, lat, structure["socle"])
+        overlines = checks._overline_cliques(g, lat, socle)
         simple = [v for v in range(g.n) if g.vertex_is_simple(v)]
         assert overlines == [g.vertices_of(lat.above(v + 1)) for v in simple], ctx.instance_id
         for v, over in zip(simple, overlines):

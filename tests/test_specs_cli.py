@@ -360,6 +360,37 @@ def test_per_spec_commands_are_pinned(tmp_path, capsys, monkeypatch):
     assert digest.hexdigest() == PER_SPEC_SHA256
 
 
+# sha256 of the exit code and stdout of invariants on each named spec, in
+# zoo order, then on F2^4, (Z/4)^3 and F2^5 with the vertex cap at 400, and
+# on F2^4 under the default cap, which refuses its 65 vertices: omega_c and
+# chi_c come from the atom certificate, and the output must not move with it
+INVARIANTS_SHA256 = "ae655435ba149a61edbf2c9ebec0406fd7b01c7afacf8fba920cd13eafd8a8f9"
+
+
+def power_spec(ring: dict, k: int) -> dict:
+    module = {"kind": "regular"}
+    for _ in range(k - 1):
+        module = {"kind": "direct_sum", "left": module, "right": {"kind": "regular"}}
+    return {"version": 1, "ring": ring, "module": module}
+
+
+def test_invariants_output_is_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MODGRAPH_CAPS", raising=False)
+    f2, z4 = {"kind": "gf", "p": 2, "k": 1}, {"kind": "zmod", "n": 4}
+    lifted = ["--max-exact-vertices", "400"]
+    runs = [(spec, []) for spec in named_instance_specs()]
+    runs += [(power_spec(f2, 4), lifted), (power_spec(z4, 3), lifted), (power_spec(f2, 5), lifted)]
+    runs.append((power_spec(f2, 4), []))
+    digest = hashlib.sha256()
+    for k, (spec, flags) in enumerate(runs):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(spec))
+        code = main(["invariants", str(path), *flags])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert code == 3
+    assert digest.hexdigest() == INVARIANTS_SHA256
+
+
 def test_cli_respects_caps_env_var(spec_file, capsys, monkeypatch):
     monkeypatch.setenv("MODGRAPH_CAPS", "max_ring_size=8")
     assert main(["invariants", spec_file]) == 3  # Z/12 now exceeds the cap
