@@ -105,6 +105,23 @@ def test_complement_invariants_need_no_search_and_no_cap(monkeypatch):
         g.clique_number()
 
 
+@pytest.mark.parametrize("solve", ["complement_clique_number", "complement_chromatic"])
+def test_vertex_cap_is_checked_before_the_complement_is_built(monkeypatch, solve):
+    # past the cap, the exact solver refuses before any complement row is
+    # built; the complement invariant, which needs no cap, builds them once
+    g = graph_of(vector_space(2, 1, 4))
+    assert g.n == 65  # one past the default cap
+    built = []
+    complement_adj = g.complement_adj
+    monkeypatch.setattr(g, "complement_adj", lambda: built.append(1) or complement_adj())
+    with pytest.raises(CapExceeded, match="max_exact_vertices=64"):
+        g.clique_number()
+    assert not built
+    for _ in range(2):
+        assert getattr(g, solve)()[0] == 15
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("fault", ["join two atoms", "part a vertex from its first atom"])
 def test_atom_certificate_is_checked_on_the_complement_rows(ctx_by_id, fault):
     # one edge toggled in a copy of the adjacency: two atoms that meet are no
